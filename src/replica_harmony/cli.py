@@ -27,7 +27,6 @@ from .errors import (
     EmptyInput,
     Infeasible,
     ReplicaHarmonyError,
-    SearchSpaceTooLarge,
     ShapeMismatch,
     UnknownAlgorithm,
     UnknownScenario,
@@ -74,10 +73,11 @@ def resolve_scenario(source: str) -> ScenarioSpec:
     return scenario_from_json(Path(source).read_text())
 
 
-def _env_seed() -> int:
+def _env_seed(default: int) -> int:
+    """REPLICA_HARMONY_SEED as an integer, or default when it is unset."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
-        return 0
+        return default
     try:
         return int(raw)
     except ValueError:
@@ -131,7 +131,7 @@ def _json_text(doc) -> str:
 
 def cmd_generate(args) -> int:
     spec = resolve_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else (_env_seed() or spec.seed)
+    seed = args.seed if args.seed is not None else _env_seed(spec.seed)
     out = Path(args.out)
 
     topology = generate_topology(spec, random.Random(derive_seed(seed, spec.name, "topology")))
@@ -180,7 +180,7 @@ def _run_many(spec, algorithms, seeds, options, threads):
 
 def cmd_run(args) -> int:
     spec = resolve_scenario(args.scenario)
-    seeds = resolve_seeds(args.seeds, _env_seed())
+    seeds = resolve_seeds(args.seeds, _env_seed(0))
     options = _trial_options(args)
     out = Path(args.out)
 
@@ -218,7 +218,7 @@ def cmd_compare(args) -> int:
     if len(args.algo) < 2:
         print("error: compare needs at least two --algo entries", file=sys.stderr)
         return EXIT_CONFIG
-    seeds = resolve_seeds(args.seeds, _env_seed())
+    seeds = resolve_seeds(args.seeds, _env_seed(0))
     options = _trial_options(args)
     out = Path(args.out)
 
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     except (UnknownScenario, UnknownAlgorithm, EmptyInput, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (Infeasible, SearchSpaceTooLarge) as exc:
+    except Infeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (OSError, json.JSONDecodeError) as exc:

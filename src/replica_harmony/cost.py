@@ -137,6 +137,48 @@ class CostModel:
             per_candidate=tuple((c, t) for c, _, _, t in candidates),
         )
 
+    def best_allocation(self, d: DataItem, feasible: tuple[int, ...], r: int) -> AllocationVector:
+        """Exact minimizer of total() over the r-subsets of the cloud ids in feasible.
+
+        With c as entry cloud, the cheapest subset adds the r-1 clouds of
+        smallest branch cost, so the optimum is the minimum over c of
+        entry(c) + the (r-1)-th smallest branch(c, .): O(F^2 log F) for F
+        feasible clouds instead of C(F, r) evaluations. Ties go to the
+        lexicographically smallest sorted vector, as in an enumeration of
+        the subsets in order. The floats use the expressions of
+        _candidate_totals, and rounded addition is monotone, so
+        entry + max(branches) <= optimum holds exactly when each
+        entry + branch does.
+        """
+        if not (1 <= r <= len(feasible)):
+            raise ValueError(f"need 1 <= r <= {len(feasible)} feasible clouds, got r={r}")
+        size = d.size
+        gw_wait = self._gw_wait[d.source_gateway]
+        entry_row = self._entry_base[d.source_gateway]
+        rows = []
+        for c in feasible:
+            entry = gw_wait + entry_row[c] * size
+            prop_row = self._prop_base[c]
+            cloud_wait = self._cloud_wait[c]
+            branches = [(cloud_wait + prop_row[c2] * size, c2) for c2 in feasible if c2 != c]
+            prop = 0.0
+            if r > 1:
+                kth = sorted(branches)[r - 2][0]
+                if kth > prop:
+                    prop = kth
+            rows.append((entry + prop, c, entry, branches))
+        optimum = min(row[0] for row in rows)
+        best = None
+        for cand, c, entry, branches in rows:
+            if cand != optimum:
+                continue
+            # with entry cloud c, any r-1 of these clouds reach the optimum
+            ties = sorted(c2 for b, c2 in branches if entry + b <= optimum)
+            vector = tuple(sorted((c, *ties[: r - 1])))
+            if best is None or vector < best:
+                best = vector
+        return AllocationVector(best)
+
     def access_delay(self, d: DataItem, a: AllocationVector, requester: int) -> float:
         """Best-replica retrieval time in seconds for the given gateway."""
         check_allocation(self.topology, a)

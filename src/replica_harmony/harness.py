@@ -26,14 +26,7 @@ from dataclasses import dataclass, field
 from statistics import pstdev
 
 from .cost import CostModel, EnergyParams, placement_energy
-from .errors import (
-    CapacityExceeded,
-    EmptyInput,
-    Infeasible,
-    SearchSpaceTooLarge,
-    ShapeMismatch,
-    UnknownAlgorithm,
-)
+from .errors import CapacityExceeded, EmptyInput, Infeasible, ShapeMismatch, UnknownAlgorithm
 from .model import AllocationVector, DataItem, Topology, commit_placement
 from .optimize import (
     FOAParams,
@@ -41,7 +34,6 @@ from .optimize import (
     OptParams,
     OptResult,
     PlacementProblem,
-    exhaustive_best,
     foa_optimize,
     ga_optimize,
     hs_optimize,
@@ -128,6 +120,7 @@ class TrialResult:
 
 def _run_optimizer(
     algorithm: str,
+    model: CostModel,
     problem: PlacementProblem,
     opt_seed: int,
     exercises: int,
@@ -150,7 +143,9 @@ def _run_optimizer(
     if algorithm == "foa":
         return foa_optimize(problem, FOAParams(seed=opt_seed, budget=budget))
     if algorithm == "exhaustive":
-        return exhaustive_best(problem)
+        best = model.best_allocation(problem.datum, problem.feasible_clouds, problem.replica_count)
+        cost = model.total(problem.datum, best)
+        return OptResult(best, cost, (cost,), 1)
     raise UnknownAlgorithm(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
 
 
@@ -195,9 +190,9 @@ def run_trial_detailed(
             opt_seed = derive_seed(root_seed, spec.name, "opt", algorithm, datum.id)
             try:
                 problem = PlacementProblem(current, datum, model.objective(datum))
-                result = _run_optimizer(algorithm, problem, opt_seed, exercises, budget, options)
+                result = _run_optimizer(algorithm, model, problem, opt_seed, exercises, budget, options)
                 current = commit_placement(current, datum, result.best)
-            except (Infeasible, CapacityExceeded, SearchSpaceTooLarge):
+            except (Infeasible, CapacityExceeded):
                 failures += 1
                 placements.append((datum, None))
                 continue

@@ -60,6 +60,14 @@ class ScenarioSpec:
             object.__setattr__(self, name, (lo, hi))
             if lo > hi:
                 raise ValueError(f"{name} is empty: [{lo}, {hi}]")
+        # rates are divided by and capacities must hold data, so both are
+        # positive; sizes, delays and waits are non-negative amounts
+        for name in ("gw_rate_range_bytes_per_s", "cloud_rate_range_bytes_per_s", "capacity_range_bytes"):
+            if not getattr(self, name)[0] > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("data_size_range_bytes", "rw_delay_range_ms_per_byte", "waiting_time_range_s"):
+            if not getattr(self, name)[0] >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.num_gateways < 1 or self.num_clouds < 1:
             raise ValueError("scenario needs at least one gateway and one cloud")
         if self.timesteps < 1:

@@ -1,8 +1,12 @@
+import dataclasses
+import hashlib
 import json
+
+import pytest
 
 from replica_harmony.cli import main, resolve_seeds
 from replica_harmony.model import topology_from_json, validate_topology
-from replica_harmony.scenario import ScenarioSpec, scenario_to_json
+from replica_harmony.scenario import ScenarioSpec, builtin_scenario, scenario_to_dict, scenario_to_json
 
 
 def write_tiny_scenario(path, **overrides):
@@ -93,6 +97,64 @@ def test_run_respects_env_seed(tmp_path, monkeypatch):
         "trial_tiny_hs_seed50.csv",
         "trial_tiny_hs_seed51.csv",
     ]
+
+
+def test_generate_seed_precedence_flag_env_spec(tmp_path, monkeypatch):
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path, seed=7)
+
+    def written_seed(out, *extra):
+        assert main(["generate", "--scenario", str(spec_path), "--out", str(tmp_path / out), *extra]) == 0
+        return json.loads(next((tmp_path / out).glob("workload_*.json")).read_text())["seed"]
+
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    assert written_seed("spec") == 7
+    monkeypatch.setenv("REPLICA_HARMONY_SEED", "0")
+    assert written_seed("env") == 0
+    assert written_seed("flag", "--seed", "3") == 3
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("gw_rate_range_bytes_per_s", [0.0, 5000.0]),
+        ("cloud_rate_range_bytes_per_s", [0.0, 5000.0]),
+        ("capacity_range_bytes", [-200.0, -100.0]),
+        ("data_size_range_bytes", [-100, -20]),
+        ("rw_delay_range_ms_per_byte", [-70.0, -20.0]),
+        ("waiting_time_range_s", [-1.0, -0.1]),
+    ],
+)
+def test_out_of_range_spec_is_a_config_error(tmp_path, capsys, field, bad):
+    spec_path = tmp_path / "bad.json"
+    doc = scenario_to_dict(write_tiny_scenario(spec_path))
+    doc[field] = bad
+    spec_path.write_text(json.dumps(doc))
+    for command in ("generate", "run"):
+        assert main([command, "--scenario", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+        assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# SHA-256 of the files `run --algo exhaustive` wrote for this command before
+# the exact solver replaced subset enumeration
+EXHAUSTIVE_DIGESTS = {
+    "trial_builtin-2_exhaustive_seed0.csv": "a6364ae184009a555aed932fbbf59fab8c2d10f13f8c96f5aae804aa63b93f01",
+    "trial_builtin-2_exhaustive_seed0.json": "94bffcb86d65acd68f465b164324f8d75ff5d601747d625ea1fbe203d8acf35e",
+    "trial_builtin-2_exhaustive_seed1.csv": "548e8ae0185418c08cd7c696c49b16ccdbb71cf4a1485be3c2843dd1673643d5",
+    "trial_builtin-2_exhaustive_seed1.json": "96e4f2b2cb95d8aba705a22b5015999b71ba2b486b670c7c3e62b3a53e8e2dc6",
+}
+
+
+def test_run_exhaustive_output_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    spec_path = tmp_path / "builtin2.json"
+    spec_path.write_text(scenario_to_json(dataclasses.replace(builtin_scenario(2), timesteps=20)))
+    out = tmp_path / "runs"
+    assert main(["run", "--scenario", str(spec_path), "--algo", "exhaustive", "--seeds", "2",
+                 "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == EXHAUSTIVE_DIGESTS
 
 
 def test_run_rejects_bad_algorithm(tmp_path):

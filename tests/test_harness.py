@@ -55,7 +55,7 @@ def test_run_trial_deterministic_despite_wall_clock():
     first = run_trial(spec, "ga", 5)
     second = run_trial(spec, "ga", 5)
     assert first == second  # wall clock differs but is excluded from equality
-    assert first.totals.wall_clock_s != second.totals.wall_clock_s or True
+    assert first.totals.wall_clock_s > 0.0 and second.totals.wall_clock_s > 0.0
 
 
 def test_run_trial_rejects_unknown_algorithm():

@@ -350,6 +350,49 @@ def test_exhaustive_tie_break_is_lexicographic():
     d = DataItem(0, 40.0, 0, 2)
     result = exhaustive_best(PlacementProblem(t, d, CostModel(t).objective(d)))
     assert result.best.clouds == (0, 1)
+    assert CostModel(t).best_allocation(d, tuple(range(5)), 2).clouds == (0, 1)
+
+
+def tie_heavy_topology(rng: random.Random, num_gateways: int, num_clouds: int) -> Topology:
+    """Delays, waits and rates each drawn from two values, so equal costs are common."""
+    delays, waits, rates = (20.0, 40.0), (0.25, 0.5), (1000.0, 2000.0)
+    gateways = tuple(Gateway(g, rng.choice(delays), rng.choice(waits)) for g in range(num_gateways))
+    clouds = tuple(
+        MiniCloud(c, rng.choice(delays), rng.choice(delays), rng.choice(waits), rng.choice((50.0, 1e6)))
+        for c in range(num_clouds)
+    )
+    gw = [[rng.choice(rates) for _ in range(num_clouds)] for _ in range(num_gateways)]
+    cc = [[0.0 if a == b else rng.choice(rates) for b in range(num_clouds)] for a in range(num_clouds)]
+    return Topology(gateways, clouds, LinkMatrix(gw, cc))
+
+
+@pytest.mark.parametrize("make", [make_topology, tie_heavy_topology])
+def test_best_allocation_matches_exhaustive_oracle(make):
+    checked = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        num_clouds = rng.randint(2, 10)
+        t = make(rng, rng.randint(1, 4), num_clouds)
+        model = CostModel(t)
+        for r in range(1, min(4, num_clouds) + 1):
+            d = DataItem(0, float(rng.randint(20, 100)), rng.randrange(t.num_gateways), r)
+            try:
+                problem = PlacementProblem(t, d, model.objective(d))
+            except Infeasible:
+                continue
+            oracle = exhaustive_best(problem)
+            vector = model.best_allocation(d, problem.feasible_clouds, r)
+            assert vector == oracle.best, (seed, r)
+            assert model.total(d, vector).hex() == oracle.best_cost.hex(), (seed, r)
+            checked += 1
+    assert checked > 800
+
+
+def test_best_allocation_rejects_bad_replica_count(example_topology):
+    model = CostModel(example_topology)
+    for r in (0, 3):
+        with pytest.raises(ValueError):
+            model.best_allocation(DataItem(0, 10.0, 0, 2), (0, 1), r)
 
 
 def test_exhaustive_dominates_every_optimizer():
