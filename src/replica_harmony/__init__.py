@@ -6,7 +6,7 @@ are replicated into mini clouds, placements are chosen by harmony search
 delay, and energy per timestep.
 """
 
-from .cost import CostBreakdown, CostModel, EnergyParams, access_delay, placement_energy, replication_cost
+from .cost import CostBreakdown, CostModel, EnergyParams, placement_energy, replication_cost
 from .errors import (
     CapacityExceeded,
     EmptyInput,

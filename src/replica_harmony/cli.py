@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .cost import EnergyParams
@@ -33,13 +31,18 @@ from .errors import (
 )
 from .harness import (
     ALGORITHMS,
+    RunTotals,
     TrialOptions,
+    check_totals,
     compare_algorithms,
     report_from_csv,
     report_to_csv,
-    run_trial,
+    summary_row,
     totals_to_dict,
+    win_rate,
 )
+# perfbench/tracing.py looks up cli._run_many by name
+from .harness import run_grid as _run_many
 from .model import topology_to_json, validate_topology
 from .scenario import (
     ScenarioSpec,
@@ -168,19 +171,9 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _run_many(spec, algorithms, seeds, options, threads):
-    tasks = [(algo, seed) for algo in algorithms for seed in seeds]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: run_trial(spec, t[0], t[1], options), tasks))
-    else:
-        results = [run_trial(spec, algo, seed, options) for algo, seed in tasks]
-    return dict(zip(tasks, results))
-
-
 def cmd_run(args) -> int:
     spec = resolve_scenario(args.scenario)
-    seeds = resolve_seeds(args.seeds, _env_seed(0))
+    seeds = resolve_seeds(args.seeds, _env_seed(spec.seed))
     options = _trial_options(args)
     out = Path(args.out)
 
@@ -218,7 +211,7 @@ def cmd_compare(args) -> int:
     if len(args.algo) < 2:
         print("error: compare needs at least two --algo entries", file=sys.stderr)
         return EXIT_CONFIG
-    seeds = resolve_seeds(args.seeds, _env_seed(0))
+    specs = [resolve_scenario(source) for source in args.scenario]
     options = _trial_options(args)
     out = Path(args.out)
 
@@ -227,8 +220,8 @@ def cmd_compare(args) -> int:
         "mean_energy_j,std_energy_j,placed,failures"
     ]
     win_lines = ["scenario,algorithm_a,algorithm_b,win_rate"]
-    for source in args.scenario:
-        spec = resolve_scenario(source)
+    for spec in specs:
+        seeds = resolve_seeds(args.seeds, _env_seed(spec.seed))
         table = compare_algorithms(spec, args.algo, seeds, options, workers=args.threads)
         for row in table.rows:
             comparison_lines.append(
@@ -268,58 +261,38 @@ def cmd_report(args) -> int:
     if not csv_paths:
         raise EmptyInput(f"no trial CSV files in {directory}")
 
-    reports = []
+    by_scenario: dict[str, dict[str, list]] = {}
     for path in csv_paths:
         report = report_from_csv(path.read_text())
         summary_path = path.with_suffix(".json")
         if summary_path.exists():
-            stored = json.loads(summary_path.read_text())["totals"]
-            recomputed = totals_to_dict(report)["totals"]
-            for key, fresh in recomputed.items():
-                if not math.isclose(stored[key], fresh, rel_tol=1e-12, abs_tol=1e-15):
-                    print(
-                        f"error: {summary_path.name} totals.{key} disagrees with the CSV series",
-                        file=sys.stderr,
-                    )
-                    return EXIT_INTERNAL
-        reports.append(report)
-
-    by_scenario: dict[str, list] = {}
-    for report in reports:
-        by_scenario.setdefault(report.scenario, []).append(report)
+            stored = RunTotals(**json.loads(summary_path.read_text())["totals"])
+            try:
+                check_totals(report.series, stored)
+            except ShapeMismatch as exc:
+                raise ShapeMismatch(f"{summary_path.name}: {exc}") from None
+        by_algo = by_scenario.setdefault(report.scenario, {})
+        by_algo.setdefault(report.algorithm, []).append(report)
 
     for scenario in sorted(by_scenario):
-        group = by_scenario[scenario]
-        print(f"scenario {scenario} ({len(group)} trials)")
-        by_algo: dict[str, list] = {}
-        for report in group:
-            by_algo.setdefault(report.algorithm, []).append(report)
+        by_algo = by_scenario[scenario]
+        print(f"scenario {scenario} ({sum(map(len, by_algo.values()))} trials)")
+        rows = [summary_row(algo, rs) for algo, rs in by_algo.items()]
         for label, attr in (
             ("mean cost (s)", "mean_cost_s"),
             ("mean delay (s)", "mean_delay_s"),
-            ("energy (J)", "energy_j"),
+            ("energy (J)", "mean_energy_j"),
         ):
-            ranked = sorted(
-                (
-                    (sum(getattr(r.totals, attr) for r in rs) / len(rs), algo)
-                    for algo, rs in by_algo.items()
-                )
-            )
+            ranked = sorted((getattr(row, attr), row.algorithm) for row in rows)
             print(f"  {label}: " + "  ".join(f"{algo}={value:.6g}" for value, algo in ranked))
         algos = sorted(by_algo)
         for i, a in enumerate(algos):
             for b in algos[i + 1 :]:
-                seeds_a = {r.seed: r for r in by_algo[a]}
-                seeds_b = {r.seed: r for r in by_algo[b]}
-                paired = sorted(set(seeds_a) & set(seeds_b))
-                if not paired:
-                    continue
-                score = 0.0
-                for seed in paired:
-                    ca = seeds_a[seed].totals.mean_cost_s
-                    cb = seeds_b[seed].totals.mean_cost_s
-                    score += 1.0 if ca < cb else 0.5 if ca == cb else 0.0
-                print(f"  win rate {a} vs {b} on cost: {score / len(paired):.3f} ({len(paired)} paired seeds)")
+                rate, paired = win_rate(
+                    {r.seed: r for r in by_algo[a]}, {r.seed: r for r in by_algo[b]}
+                )
+                if paired:
+                    print(f"  win rate {a} vs {b} on cost: {rate:.3f} ({paired} paired seeds)")
     return EXIT_OK
 
 

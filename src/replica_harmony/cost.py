@@ -201,10 +201,6 @@ def replication_cost(t: Topology, d: DataItem, a: AllocationVector) -> CostBreak
     return CostModel(t).breakdown(d, a)
 
 
-def access_delay(t: Topology, d: DataItem, a: AllocationVector, requester: int) -> float:
-    return CostModel(t).access_delay(d, a, requester)
-
-
 def placement_energy(d: DataItem, a: AllocationVector, p: EnergyParams = EnergyParams()) -> float:
     """Joules for one uplink transfer, r-1 propagations, and r writes."""
     r = len(a)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -103,12 +104,30 @@ def recompute_totals(series, wall_clock_s: float = 0.0) -> RunTotals:
     )
 
 
+def check_totals(series, totals: RunTotals) -> None:
+    """Raise ShapeMismatch unless totals are the ones the series implies."""
+    fresh = recompute_totals(series)
+    for name in ("mean_cost_s", "mean_delay_s", "energy_j"):
+        if not math.isclose(getattr(totals, name), getattr(fresh, name), rel_tol=1e-12, abs_tol=1e-15):
+            raise ShapeMismatch(f"totals.{name} disagrees with the series")
+    if (totals.placed, totals.failures) != (fresh.placed, fresh.failures):
+        raise ShapeMismatch("totals counts disagree with the series")
+
+
 @dataclass(frozen=True)
 class TrialOptions:
     memory_size_hms: int = 10
     exercises: int | None = None  # fixed count; None draws per datum from the spec range
     budget: int | None = None  # fixed evaluation budget; None matches HMS + exercises
     energy: EnergyParams = field(default_factory=EnergyParams)
+
+    def __post_init__(self):
+        if self.memory_size_hms < 2:
+            raise ValueError("memory size (--hms) must be >= 2")
+        if self.exercises is not None and self.exercises < 1:
+            raise ValueError("exercises must be >= 1")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError("budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -130,11 +149,7 @@ def _run_optimizer(
     if algorithm == "hs":
         return hs_optimize(
             problem,
-            OptParams(
-                memory_size_hms=options.memory_size_hms,
-                exercises=exercises,
-                seed=opt_seed,
-            ),
+            OptParams(exercises=exercises, memory_size_hms=options.memory_size_hms, seed=opt_seed),
         )
     if algorithm == "random":
         return random_search(problem, budget, random.Random(opt_seed))
@@ -259,6 +274,60 @@ class ComparisonTable:
     reports: dict[tuple[str, int], RunReport]
 
 
+def run_grid(
+    spec: ScenarioSpec,
+    algorithms,
+    seeds,
+    options: TrialOptions = TrialOptions(),
+    workers: int = 1,
+) -> dict[tuple[str, int], RunReport]:
+    """Every (algorithm, seed) trial, keyed algorithm-major in argument order.
+
+    Trials share no state, so the reports do not depend on workers.
+    """
+    tasks = [(algo, seed) for algo in algorithms for seed in seeds]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda t: run_trial(spec, t[0], t[1], options), tasks))
+    else:
+        results = [run_trial(spec, algo, seed, options) for algo, seed in tasks]
+    return dict(zip(tasks, results))
+
+
+def win_rate(a_by_seed, b_by_seed) -> tuple[float, int]:
+    """(rate, paired) over the seeds both seed -> RunReport maps hold.
+
+    rate is the fraction of paired seeds where a's total mean cost beats
+    b's, ties counting 0.5; NaN when no seed is shared. The partial scores
+    are multiples of 0.5, so the rate does not depend on the seed order.
+    """
+    paired = sorted(set(a_by_seed) & set(b_by_seed))
+    score = 0.0
+    for seed in paired:
+        ca = a_by_seed[seed].totals.mean_cost_s
+        cb = b_by_seed[seed].totals.mean_cost_s
+        score += 1.0 if ca < cb else 0.5 if ca == cb else 0.0
+    return (score / len(paired) if paired else math.nan), len(paired)
+
+
+def summary_row(algorithm: str, reports) -> ComparisonRow:
+    """Mean and population std of the totals of one algorithm's reports."""
+    costs = [r.totals.mean_cost_s for r in reports]
+    delays = [r.totals.mean_delay_s for r in reports]
+    energies = [r.totals.energy_j for r in reports]
+    return ComparisonRow(
+        algorithm=algorithm,
+        mean_cost_s=sum(costs) / len(costs),
+        std_cost_s=pstdev(costs),
+        mean_delay_s=sum(delays) / len(delays),
+        std_delay_s=pstdev(delays),
+        mean_energy_j=sum(energies) / len(energies),
+        std_energy_j=pstdev(energies),
+        placed=sum(r.totals.placed for r in reports),
+        failures=sum(r.totals.failures for r in reports),
+    )
+
+
 def compare_algorithms(
     spec: ScenarioSpec,
     algorithms,
@@ -270,52 +339,21 @@ def compare_algorithms(
     seeds = list(seeds)
     if not algorithms or not seeds:
         raise EmptyInput("need at least one algorithm and one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds {seeds} repeat a seed")
 
-    tasks = [(algo, seed) for algo in algorithms for seed in seeds]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: run_trial(spec, t[0], t[1], options), tasks))
-    else:
-        results = [run_trial(spec, algo, seed, options) for algo, seed in tasks]
-    reports = {task: report for task, report in zip(tasks, results)}
-
-    rows = []
-    for algo in algorithms:
-        algo_reports = [reports[(algo, seed)] for seed in seeds]
-        costs = [r.totals.mean_cost_s for r in algo_reports]
-        delays = [r.totals.mean_delay_s for r in algo_reports]
-        energies = [r.totals.energy_j for r in algo_reports]
-        rows.append(
-            ComparisonRow(
-                algorithm=algo,
-                mean_cost_s=sum(costs) / len(costs),
-                std_cost_s=pstdev(costs),
-                mean_delay_s=sum(delays) / len(delays),
-                std_delay_s=pstdev(delays),
-                mean_energy_j=sum(energies) / len(energies),
-                std_energy_j=pstdev(energies),
-                placed=sum(r.totals.placed for r in algo_reports),
-                failures=sum(r.totals.failures for r in algo_reports),
-            )
-        )
-
-    win_rates: dict[tuple[str, str], float] = {}
-    for a in algorithms:
-        for b in algorithms:
-            if a == b:
-                continue
-            score = 0.0
-            for seed in seeds:
-                ca = reports[(a, seed)].totals.mean_cost_s
-                cb = reports[(b, seed)].totals.mean_cost_s
-                score += 1.0 if ca < cb else 0.5 if ca == cb else 0.0
-            win_rates[(a, b)] = score / len(seeds)
-
+    reports = run_grid(spec, algorithms, seeds, options, workers)
+    by_seed = {algo: {seed: reports[(algo, seed)] for seed in seeds} for algo in algorithms}
     return ComparisonTable(
         scenario=spec.name,
         seeds=tuple(seeds),
-        rows=tuple(rows),
-        win_rates=win_rates,
+        rows=tuple(summary_row(algo, list(by_seed[algo].values())) for algo in algorithms),
+        win_rates={
+            (a, b): win_rate(by_seed[a], by_seed[b])[0]
+            for a in algorithms
+            for b in algorithms
+            if a != b
+        },
         reports=reports,
     )
 
@@ -341,14 +379,7 @@ def summarize(reports) -> dict[str, MetricStats]:
                 f"report ({r.scenario}, {len(r.series)} steps) does not match "
                 f"({scenario}, {steps} steps)"
             )
-        expected = recompute_totals(r.series)
-        for name in ("mean_cost_s", "mean_delay_s", "energy_j"):
-            stored = getattr(r.totals, name)
-            fresh = getattr(expected, name)
-            if abs(stored - fresh) > 1e-9 * max(abs(stored), abs(fresh), 1.0):
-                raise ShapeMismatch(f"stored totals.{name} inconsistent with series")
-        if (expected.placed, expected.failures) != (r.totals.placed, r.totals.failures):
-            raise ShapeMismatch("stored counts inconsistent with series")
+        check_totals(r.series, r.totals)
 
     out = {}
     for name in ("mean_cost_s", "mean_delay_s", "energy_j", "placed", "failures"):

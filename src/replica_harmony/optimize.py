@@ -94,26 +94,17 @@ class HarmonyMemory:
 
 @dataclass(frozen=True)
 class OptParams:
-    """Harmony-search knobs.
+    """Harmony-search knobs; a run spends memory_size_hms + exercises evaluations."""
 
-    exercises=None draws the budget uniformly from exercises_range at the
-    start of the run, which mirrors the 5..10 iteration setting of the
-    experiments; pass an explicit count to override.
-    """
-
+    exercises: int
     memory_size_hms: int = 10
-    exercises: int | None = None
-    exercises_range: tuple[int, int] = (5, 10)
     seed: int = 0
 
     def __post_init__(self):
         if self.memory_size_hms < 2:
             raise ValueError("memory size must be >= 2")
-        if self.exercises is not None and self.exercises < 1:
+        if self.exercises < 1:
             raise ValueError("exercises must be >= 1")
-        lo, hi = self.exercises_range
-        if not (1 <= lo <= hi):
-            raise ValueError(f"bad exercises range [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -206,12 +197,8 @@ def _mutate_one_position(
     return tuple(out)
 
 
-def hs_optimize(problem: PlacementProblem, params: OptParams = OptParams()) -> OptResult:
+def hs_optimize(problem: PlacementProblem, params: OptParams) -> OptResult:
     rng = random.Random(params.seed)
-    exercises = params.exercises
-    if exercises is None:
-        exercises = rng.randint(*params.exercises_range)
-
     memory = HarmonyMemory(
         [
             _evaluated(problem, random_allocation(problem, rng))
@@ -221,7 +208,7 @@ def hs_optimize(problem: PlacementProblem, params: OptParams = OptParams()) -> O
     evaluations = params.memory_size_hms
 
     trace = []
-    for _ in range(exercises):
+    for _ in range(params.exercises):
         i, j = roulette_select_pair(memory, rng)
         child = combine_harmonies(
             memory.harmonies[i], memory.harmonies[j], problem.feasible_clouds, rng
@@ -260,32 +247,29 @@ def random_search(problem: PlacementProblem, budget: int, rng: random.Random) ->
     return OptResult(best.vector, best.cost, tuple(trace), budget)
 
 
+# Stand-in GA and FOA configurations; the source experiments never state one.
+GA_POPULATION = 20
+GA_CROSSOVER_RATE = 0.9
+GA_MUTATION_RATE = 0.1
+FOA_AREA_LIMIT = 30
+FOA_LIFE_TIME = 6
+FOA_LOCAL_SEEDING = 2
+FOA_GLOBAL_FRACTION = 0.1
+
+
 @dataclass(frozen=True)
 class GAParams:
-    """Stand-in configuration; the source experiments never state one."""
-
-    population: int = 20
-    generations: int | None = None  # derived from budget when None
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.1
+    budget: int  # evaluation cap; the harness matches it to HS
     seed: int = 0
-    budget: int | None = None  # evaluation cap, matches HS when set
 
 
-def ga_optimize(problem: PlacementProblem, params: GAParams = GAParams()) -> OptResult:
+def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
     rng = random.Random(params.seed)
     r = problem.replica_count
     feasible = problem.feasible_clouds
 
-    pop_size = params.population
-    if params.budget is not None:
-        pop_size = max(2, min(pop_size, params.budget))
-    generations = params.generations
-    if generations is None:
-        if params.budget is not None:
-            generations = max(0, (params.budget - pop_size) // (pop_size - 1))
-        else:
-            generations = 25
+    pop_size = max(2, min(GA_POPULATION, params.budget))
+    generations = max(0, (params.budget - pop_size) // (pop_size - 1))
 
     population = sorted(
         (_evaluated(problem, random_allocation(problem, rng)) for _ in range(pop_size)),
@@ -300,13 +284,13 @@ def ga_optimize(problem: PlacementProblem, params: GAParams = GAParams()) -> Opt
         while len(next_gen) < pop_size:
             p1 = _tournament(population, rng)
             p2 = _tournament(population, rng)
-            if r >= 2 and rng.random() < params.crossover_rate:
+            if r >= 2 and rng.random() < GA_CROSSOVER_RATE:
                 point = rng.randint(1, r - 1)
                 raw = p1.vector.clouds[:point] + p2.vector.clouds[point:]
                 child = _repair_duplicates(raw, feasible, rng)
             else:
                 child = p1.vector.clouds
-            if rng.random() < params.mutation_rate:
+            if rng.random() < GA_MUTATION_RATE:
                 child = _mutate_one_position(child, feasible, rng)
             h = _evaluated(problem, AllocationVector(child))
             evaluations += 1
@@ -326,14 +310,8 @@ def _tournament(population: Sequence[Harmony], rng: random.Random) -> Harmony:
 
 @dataclass(frozen=True)
 class FOAParams:
-    """Stand-in configuration; the source experiments never state one."""
-
-    area_limit: int = 30
-    life_time: int = 6
-    local_seeding: int = 2
-    global_fraction: float = 0.1
+    budget: int  # evaluation cap; the harness matches it to HS
     seed: int = 0
-    budget: int | None = None  # evaluation cap, matches HS when set
 
 
 @dataclass
@@ -342,20 +320,20 @@ class _Tree:
     age: int = 0
 
 
-def foa_optimize(problem: PlacementProblem, params: FOAParams = FOAParams()) -> OptResult:
+def foa_optimize(problem: PlacementProblem, params: FOAParams) -> OptResult:
     """Simplified forest optimization on allocation vectors.
 
-    New trees (age 0) spawn local_seeding one-position neighbors per
+    New trees (age 0) spawn FOA_LOCAL_SEEDING one-position neighbors per
     iteration; everything ages, over-age trees fall into a candidate pool,
-    the worst beyond area_limit follow them, and a fraction of the pool
+    the worst beyond FOA_AREA_LIMIT follow them, and a fraction of the pool
     re-enters as fresh random trees. The best tree's age is pinned to 0 so
     the forest always keeps one seeding tree.
     """
     rng = random.Random(params.seed)
     feasible = problem.feasible_clouds
-    budget = params.budget if params.budget is not None else 200
+    budget = params.budget
 
-    init_size = max(1, min(params.area_limit, budget))
+    init_size = max(1, min(FOA_AREA_LIMIT, budget))
     forest = [
         _Tree(_evaluated(problem, random_allocation(problem, rng))) for _ in range(init_size)
     ]
@@ -368,7 +346,7 @@ def foa_optimize(problem: PlacementProblem, params: FOAParams = FOAParams()) -> 
         for tree in forest:
             if tree.age != 0:
                 continue
-            for _ in range(params.local_seeding):
+            for _ in range(FOA_LOCAL_SEEDING):
                 if evaluations >= budget:
                     break
                 vec = _mutate_one_position(tree.harmony.vector.clouds, feasible, rng)
@@ -378,14 +356,14 @@ def foa_optimize(problem: PlacementProblem, params: FOAParams = FOAParams()) -> 
             tree.age += 1
         forest.extend(new_trees)
 
-        candidates = [t for t in forest if t.age > params.life_time]
-        forest = [t for t in forest if t.age <= params.life_time]
+        candidates = [t for t in forest if t.age > FOA_LIFE_TIME]
+        forest = [t for t in forest if t.age <= FOA_LIFE_TIME]
         forest.sort(key=lambda t: t.harmony.cost)
-        if len(forest) > params.area_limit:
-            candidates.extend(forest[params.area_limit :])
-            forest = forest[: params.area_limit]
+        if len(forest) > FOA_AREA_LIMIT:
+            candidates.extend(forest[FOA_AREA_LIMIT:])
+            forest = forest[:FOA_AREA_LIMIT]
 
-        reseeds = int(params.global_fraction * len(candidates))
+        reseeds = int(FOA_GLOBAL_FRACTION * len(candidates))
         for _ in range(reseeds):
             if evaluations >= budget:
                 break

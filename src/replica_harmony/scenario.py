@@ -68,6 +68,8 @@ class ScenarioSpec:
         for name in ("data_size_range_bytes", "rw_delay_range_ms_per_byte", "waiting_time_range_s"):
             if not getattr(self, name)[0] >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.exercises_range[0] < 1:
+            raise ValueError(f"exercises_range must start at >= 1, got {self.exercises_range}")
         if self.num_gateways < 1 or self.num_clouds < 1:
             raise ValueError("scenario needs at least one gateway and one cloud")
         if self.timesteps < 1:

@@ -1,12 +1,22 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+import replica_harmony
 from replica_harmony.cli import main, resolve_seeds
+from replica_harmony.harness import ALGORITHMS, compare_algorithms, run_trial
 from replica_harmony.model import topology_from_json, validate_topology
-from replica_harmony.scenario import ScenarioSpec, builtin_scenario, scenario_to_dict, scenario_to_json
+from replica_harmony.scenario import (
+    ScenarioSpec,
+    builtin_scenario,
+    scenario_from_json,
+    scenario_to_dict,
+    scenario_to_json,
+)
 
 
 def write_tiny_scenario(path, **overrides):
@@ -114,6 +124,50 @@ def test_generate_seed_precedence_flag_env_spec(tmp_path, monkeypatch):
     assert written_seed("flag", "--seed", "3") == 3
 
 
+def test_run_and_compare_seed_precedence_env_spec(tmp_path, monkeypatch):
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path, seed=7)
+
+    def trial_csvs(out, *extra):
+        assert main(["run", "--scenario", str(spec_path), "--algo", "hs", "--out",
+                     str(tmp_path / out), *extra]) == 0
+        return sorted(p.name for p in (tmp_path / out).glob("trial_*.csv"))
+
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    assert trial_csvs("spec") == ["trial_tiny_hs_seed7.csv"]
+    assert trial_csvs("count", "--seeds", "2") == ["trial_tiny_hs_seed7.csv", "trial_tiny_hs_seed8.csv"]
+
+    # compare takes each scenario's own seed
+    other = dataclasses.replace(builtin_scenario(1), name="other", timesteps=5)
+    other_path = tmp_path / "other.json"
+    other_path.write_text(scenario_to_json(other))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", str(spec_path), "--scenario", str(other_path),
+                 "--algo", "hs", "--algo", "random", "--out", str(out)]) == 0
+    rows = {tuple(line.split(",")[:2]): line.split(",")[2]
+            for line in (out / "comparison.csv").read_text().splitlines()[1:]}
+    tiny = scenario_from_json(spec_path.read_text())
+    assert rows[("tiny", "hs")] == repr(run_trial(tiny, "hs", 7).totals.mean_cost_s)
+    assert rows[("other", "hs")] == repr(run_trial(other, "hs", 0).totals.mean_cost_s)
+
+    monkeypatch.setenv("REPLICA_HARMONY_SEED", "0")
+    assert trial_csvs("env") == ["trial_tiny_hs_seed0.csv"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--budget", "0"], ["--budget", "-5"], ["--exercises", "0"], ["--hms", "1"]],
+)
+def test_out_of_range_trial_option_is_a_config_error(tmp_path, capsys, flags):
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    for algo in ALGORITHMS:
+        argv = ["run", "--scenario", str(spec_path), "--algo", algo, *flags, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2, algo
+        assert "must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "field, bad",
     [
@@ -123,6 +177,7 @@ def test_generate_seed_precedence_flag_env_spec(tmp_path, monkeypatch):
         ("data_size_range_bytes", [-100, -20]),
         ("rw_delay_range_ms_per_byte", [-70.0, -20.0]),
         ("waiting_time_range_s", [-1.0, -0.1]),
+        ("exercises_range", [0, 3]),
     ],
 )
 def test_out_of_range_spec_is_a_config_error(tmp_path, capsys, field, bad):
@@ -230,13 +285,41 @@ def test_report_prints_rankings(tmp_path, capsys):
     assert "win rate hs vs random on cost:" in text
 
 
+def test_report_win_rate_matches_compare(tmp_path, capsys):
+    spec_path = tmp_path / "tiny.json"
+    spec = write_tiny_scenario(spec_path)
+    out = tmp_path / "runs"
+    assert main(["run", "--scenario", str(spec_path), "--algo", "hs", "--algo", "random",
+                 "--seeds", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    text = capsys.readouterr().out
+    rate = compare_algorithms(spec, ["hs", "random"], range(4)).win_rates[("hs", "random")]
+    assert f"win rate hs vs random on cost: {rate:.3f} (4 paired seeds)" in text
+
+
+def test_report_pairs_only_shared_seeds(tmp_path, capsys):
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    out = tmp_path / "runs"
+    for algo, seeds in (("hs", "0,1"), ("random", "1,2")):
+        assert main(["run", "--scenario", str(spec_path), "--algo", algo, "--seeds", seeds,
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "scenario tiny (4 trials)" in text
+    assert "win rate hs vs random on cost:" in text
+    assert "(1 paired seeds)" in text
+
+
 def test_report_empty_directory(tmp_path, capsys):
     code = main(["report", str(tmp_path)])
     assert code == 2
     assert "no trial CSV" in capsys.readouterr().err
 
 
-def test_report_detects_tampered_summary(tmp_path):
+def test_report_detects_tampered_summary(tmp_path, capsys):
     spec_path = tmp_path / "tiny.json"
     write_tiny_scenario(spec_path)
     out = tmp_path / "runs"
@@ -246,6 +329,7 @@ def test_report_detects_tampered_summary(tmp_path):
     doc["totals"]["mean_cost_s"] += 0.5
     summary_path.write_text(json.dumps(doc))
     assert main(["report", str(out)]) == 5
+    assert summary_path.name in capsys.readouterr().err
 
 
 def test_custom_energy_params_change_energy_only(tmp_path):
@@ -268,3 +352,17 @@ def test_custom_energy_params_change_energy_only(tmp_path):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_perfbench_tracer_names_resolve():
+    # the benchmark's layer tracer wraps these names on the imported package;
+    # one that no longer resolves breaks its traced runs
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {name: getattr(replica_harmony, name) for name in tracing.MODULES}
+    for module, attr, *_ in tracing.FUNCTIONS:
+        assert callable(getattr(modules[module], attr, None)), f"{module}.{attr}"
+    for module, cls, method, *_ in tracing.METHODS:
+        assert callable(getattr(getattr(modules[module], cls), method, None)), f"{cls}.{method}"

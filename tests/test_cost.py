@@ -6,7 +6,6 @@ import pytest
 from replica_harmony.cost import (
     CostModel,
     EnergyParams,
-    access_delay,
     placement_energy,
     replication_cost,
 )
@@ -79,7 +78,7 @@ def test_zero_size_and_zero_waits_cost_zero():
     d = DataItem(0, 0.0, 0, 2)
     for vec in ((0,), (0, 1), (2, 0, 1)):
         assert replication_cost(t, d, AllocationVector(vec)).total == 0.0
-    assert access_delay(t, d, AllocationVector((0, 1)), 0) == 0.0
+    assert CostModel(t).access_delay(d, AllocationVector((0, 1)), 0) == 0.0
 
 
 def test_breakdown_invariants_hold_on_random_instances():
@@ -138,7 +137,7 @@ def test_scaling_by_powers_of_two_is_exact():
 
 def test_access_delay_worked_example(example_topology):
     d = DataItem(0, 100.0, 0, 2)
-    assert access_delay(example_topology, d, AllocationVector((0, 1)), 0) == 0.25
+    assert CostModel(example_topology).access_delay(d, AllocationVector((0, 1)), 0) == 0.25
 
 
 def test_access_delay_monotone_under_added_replica():

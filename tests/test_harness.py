@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -10,14 +11,17 @@ from replica_harmony.harness import (
     RunTotals,
     TimestepRecord,
     TrialOptions,
+    check_totals,
     compare_algorithms,
     recompute_totals,
     report_from_csv,
     report_to_csv,
+    run_grid,
     run_trial,
     run_trial_detailed,
     summarize,
     totals_to_dict,
+    win_rate,
 )
 from replica_harmony.model import Policy
 from replica_harmony.scenario import ScenarioSpec, builtin_scenario
@@ -102,6 +106,15 @@ def test_exhaustive_algorithm_runs():
     assert report.totals.mean_cost_s <= hs.totals.mean_cost_s
 
 
+def test_exercises_drawn_from_spec_range():
+    # the per-datum draw from the spec range is the harness's; a one-value
+    # range is the same as a fixed exercise count
+    fixed = run_trial(small_spec(timesteps=10), "hs", 1, TrialOptions(exercises=3))
+    drawn = run_trial(small_spec(timesteps=10, exercises_range=(3, 3)), "hs", 1)
+    assert drawn == fixed
+    assert drawn != run_trial(small_spec(timesteps=10), "hs", 1)
+
+
 def test_trial_options_override_budget():
     spec = small_spec(timesteps=10)
     fat = run_trial(spec, "random", 1, TrialOptions(budget=200))
@@ -134,6 +147,24 @@ def test_compare_workers_do_not_change_results():
     assert serial == threaded
 
 
+def test_run_grid_keys_are_algorithm_major():
+    grid = run_grid(small_spec(timesteps=5), ["random", "hs"], [3, 1], workers=2)
+    assert list(grid) == [("random", 3), ("random", 1), ("hs", 3), ("hs", 1)]
+    assert grid[("hs", 1)] == run_trial(small_spec(timesteps=5), "hs", 1)
+
+
+def test_win_rate_pairs_only_shared_seeds():
+    def fake(cost):
+        return RunReport("s", "x", 0, (), RunTotals(cost, 0.0, 0.0, 1, 0))
+
+    a = {0: fake(1.0), 1: fake(2.0), 2: fake(3.0)}
+    b = {1: fake(2.0), 2: fake(1.0), 5: fake(9.0)}
+    assert win_rate(a, b) == (0.25, 2)
+    assert win_rate(b, a) == (0.75, 2)
+    rate, paired = win_rate(a, {7: fake(1.0)})
+    assert paired == 0 and math.isnan(rate)
+
+
 def test_compare_win_rates_are_complementary():
     table = compare_algorithms(small_spec(timesteps=20), ["hs", "random"], [0, 1, 2, 3])
     total = table.win_rates[("hs", "random")] + table.win_rates[("random", "hs")]
@@ -145,6 +176,8 @@ def test_compare_rejects_empty_inputs():
         compare_algorithms(small_spec(), [], [1])
     with pytest.raises(EmptyInput):
         compare_algorithms(small_spec(), ["hs"], [])
+    with pytest.raises(ValueError):
+        compare_algorithms(small_spec(), ["hs", "random"], [1, 2, 1])
 
 
 def test_summarize_single_and_identical_reports():
@@ -168,12 +201,16 @@ def test_summarize_errors():
 
 def test_summarize_rejects_tampered_totals():
     report = run_trial(small_spec(), "hs", 2)
-    doctored = dataclasses.replace(
-        report,
-        totals=dataclasses.replace(report.totals, mean_cost_s=report.totals.mean_cost_s + 1.0),
-    )
+    cost = report.totals.mean_cost_s
+    for tampered in (cost + 1.0, cost * (1 + 1e-10)):
+        doctored = dataclasses.replace(
+            report, totals=dataclasses.replace(report.totals, mean_cost_s=tampered)
+        )
+        with pytest.raises(ShapeMismatch):
+            summarize([doctored])
+    placed = dataclasses.replace(report.totals, placed=report.totals.placed + 1)
     with pytest.raises(ShapeMismatch):
-        summarize([doctored])
+        check_totals(report.series, placed)
 
 
 def test_csv_round_trip():
