@@ -12,6 +12,7 @@ from .errors import (
     EmptyInput,
     Infeasible,
     InvalidAllocation,
+    MalformedInput,
     ReplicaHarmonyError,
     SearchSpaceTooLarge,
     ShapeMismatch,
@@ -21,8 +22,10 @@ from .errors import (
 from .harness import (
     ALGORITHMS,
     ComparisonTable,
+    Experiment,
     RunReport,
     TrialOptions,
+    build_experiment,
     compare_algorithms,
     run_trial,
     run_trial_detailed,

@@ -24,6 +24,7 @@ from .cost import EnergyParams
 from .errors import (
     EmptyInput,
     Infeasible,
+    MalformedInput,
     ReplicaHarmonyError,
     ShapeMismatch,
     UnknownAlgorithm,
@@ -31,6 +32,7 @@ from .errors import (
 )
 from .harness import (
     ALGORITHMS,
+    TOTALS_FIELDS,
     RunTotals,
     TrialOptions,
     check_totals,
@@ -255,6 +257,24 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _stored_totals(path: Path) -> RunTotals:
+    """The totals of a trial_*.json summary; MalformedInput names the file."""
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"{path.name}: {exc}") from None
+    totals = doc.get("totals") if isinstance(doc, dict) else None
+    if not isinstance(totals, dict):
+        raise MalformedInput(f"{path.name}: no totals object")
+    if set(totals) != set(TOTALS_FIELDS):
+        raise MalformedInput(
+            f"{path.name}: totals keys {sorted(totals)} are not {sorted(TOTALS_FIELDS)}"
+        )
+    if not all(type(v) in (int, float) for v in totals.values()):
+        raise MalformedInput(f"{path.name}: totals values must be numbers")
+    return RunTotals(**totals)
+
+
 def cmd_report(args) -> int:
     directory = Path(args.dir)
     csv_paths = sorted(directory.glob("trial_*.csv"))
@@ -266,7 +286,7 @@ def cmd_report(args) -> int:
         report = report_from_csv(path.read_text())
         summary_path = path.with_suffix(".json")
         if summary_path.exists():
-            stored = RunTotals(**json.loads(summary_path.read_text())["totals"])
+            stored = _stored_totals(summary_path)
             try:
                 check_totals(report.series, stored)
             except ShapeMismatch as exc:
@@ -354,7 +374,7 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, MalformedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ShapeMismatch, ReplicaHarmonyError) as exc:

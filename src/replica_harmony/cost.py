@@ -121,9 +121,34 @@ class CostModel:
             raise InvalidAllocation(f"source gateway id {d.source_gateway} out of range")
 
     def total(self, d: DataItem, a: AllocationVector) -> float:
-        """Replication cost in seconds; fast path without the breakdown."""
+        """Replication cost in seconds; fast path without the breakdown.
+
+        One pass over the entry candidates with the expressions of
+        _candidate_totals, keeping the first smallest total as min() does.
+        """
         self._check(d, a)
-        return min(t for _, _, _, t in self._candidate_totals(d, a))
+        size = d.size
+        gw_wait = self._gw_wait[d.source_gateway]
+        entry_row = self._entry_base[d.source_gateway]
+        prop_base = self._prop_base
+        cloud_waits = self._cloud_wait
+        clouds = a.clouds
+        best = None
+        for c in clouds:
+            entry = gw_wait + entry_row[c] * size
+            prop_row = prop_base[c]
+            cloud_wait = cloud_waits[c]
+            prop = 0.0
+            for c2 in clouds:
+                if c2 == c:
+                    continue
+                branch = cloud_wait + prop_row[c2] * size
+                if branch > prop:
+                    prop = branch
+            cand = entry + prop
+            if best is None or cand < best:
+                best = cand
+        return best
 
     def breakdown(self, d: DataItem, a: AllocationVector) -> CostBreakdown:
         self._check(d, a)

@@ -39,3 +39,7 @@ class EmptyInput(ReplicaHarmonyError):
 
 class ShapeMismatch(ReplicaHarmonyError):
     """Reports passed to an aggregation disagree in scenario or length."""
+
+
+class MalformedInput(ReplicaHarmonyError):
+    """An input file lacks a required field or holds an unknown one."""

@@ -1,15 +1,16 @@
 """Trial runner: per-timestep allocation of arriving data plus aggregation.
 
-One trial generates a topology and workload from (spec, root_seed), then
-walks the workload in arrival order; each datum gets a placement problem
-against the current capacities, one optimizer run with a per-datum derived
-seed, and an all-or-nothing capacity commit. Infeasible data are counted
-as failures and skipped, never dropped silently.
+An Experiment holds what (spec, root_seed) fixes for every algorithm: the
+topology, the workload, the cost tables, and the per-datum exercise counts
+and requesters. A trial walks the workload in arrival order; each datum
+gets a placement problem against the current capacities, one optimizer run
+with a per-datum derived seed, and an all-or-nothing capacity commit.
+Infeasible data are counted as failures and skipped, never dropped
+silently.
 
-Seed hygiene: topology and workload derive from (root_seed, scenario) only,
-so every algorithm sees the same experiment; the optimizer stream adds the
-algorithm name and datum id. The per-datum requester and exercise draws
-omit the algorithm name on purpose, keeping paired-seed comparisons paired.
+Seed hygiene: the experiment derives from (root_seed, scenario) only, so
+every algorithm sees the same one and run_grid builds it once per seed; the
+optimizer stream adds the algorithm name and datum id.
 
 Baselines are budget-matched: a datum allowing E exercises grants every
 algorithm HMS + E objective evaluations.
@@ -23,6 +24,7 @@ import math
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from statistics import pstdev
 
@@ -66,6 +68,10 @@ class TimestepRecord:
     energy_j: float
     placed: int
     failures: int
+
+
+# the serialized RunTotals fields, in file order
+TOTALS_FIELDS = ("mean_cost_s", "mean_delay_s", "energy_j", "placed", "failures")
 
 
 @dataclass(frozen=True)
@@ -131,6 +137,48 @@ class TrialOptions:
 
 
 @dataclass(frozen=True)
+class Experiment:
+    """What (spec, root_seed) fixes for every algorithm.
+
+    exercises and requesters hold one entry per datum, indexed by its
+    position in the workload; exercises is None when TrialOptions.exercises
+    fixes the count.
+    """
+
+    topology: Topology
+    workload: tuple[DataItem, ...]
+    model: CostModel = field(compare=False)  # a function of the topology
+    exercises: tuple[int, ...] | None
+    requesters: tuple[int, ...]
+
+
+def build_experiment(
+    spec: ScenarioSpec, root_seed: int, options: TrialOptions = TrialOptions()
+) -> Experiment:
+    """Draw the experiment; each datum's exercise and requester stream is its own."""
+    topology = generate_topology(spec, random.Random(derive_seed(root_seed, spec.name, "topology")))
+    workload = tuple(
+        generate_workload(spec, topology, random.Random(derive_seed(root_seed, spec.name, "workload")))
+    )
+    model = CostModel(topology)
+    exercises = None
+    if options.exercises is None:
+        exercises = tuple(
+            random.Random(derive_seed(root_seed, spec.name, "exercises", d.id)).randint(
+                *spec.exercises_range
+            )
+            for d in workload
+        )
+    requesters = tuple(
+        random.Random(derive_seed(root_seed, spec.name, "requester", d.id)).randrange(
+            topology.num_gateways
+        )
+        for d in workload
+    )
+    return Experiment(topology, workload, model, exercises, requesters)
+
+
+@dataclass(frozen=True)
 class TrialResult:
     report: RunReport
     final_topology: Topology
@@ -169,18 +217,21 @@ def run_trial_detailed(
     algorithm: str,
     root_seed: int,
     options: TrialOptions = TrialOptions(),
+    experiment: Experiment | None = None,
 ) -> TrialResult:
+    """One algorithm on the experiment of (spec, root_seed), built here when omitted."""
     if algorithm not in ALGORITHMS:
         raise UnknownAlgorithm(
             f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}"
         )
     started = time.perf_counter()
-    topology = generate_topology(spec, random.Random(derive_seed(root_seed, spec.name, "topology")))
-    workload = generate_workload(
-        spec, topology, random.Random(derive_seed(root_seed, spec.name, "workload"))
-    )
-    model = CostModel(topology)
-    current = topology
+    if experiment is None:
+        experiment = build_experiment(spec, root_seed, options)
+    if options.exercises is None and experiment.exercises is None:
+        raise ValueError("the experiment holds no exercise counts; set TrialOptions.exercises")
+    model = experiment.model
+    workload = experiment.workload
+    current = experiment.topology
 
     series: list[TimestepRecord] = []
     placements: list[tuple[DataItem, AllocationVector | None]] = []
@@ -193,12 +244,11 @@ def run_trial_detailed(
         failures = 0
         while index < len(workload) and workload[index].arrival_timestep == timestep:
             datum = workload[index]
-            index += 1
             exercises = options.exercises
             if exercises is None:
-                exercises = random.Random(
-                    derive_seed(root_seed, spec.name, "exercises", datum.id)
-                ).randint(*spec.exercises_range)
+                exercises = experiment.exercises[index]
+            requester = experiment.requesters[index]
+            index += 1
             budget = options.budget
             if budget is None:
                 budget = options.memory_size_hms + exercises
@@ -211,9 +261,6 @@ def run_trial_detailed(
                 failures += 1
                 placements.append((datum, None))
                 continue
-            requester = random.Random(
-                derive_seed(root_seed, spec.name, "requester", datum.id)
-            ).randrange(topology.num_gateways)
             cost_sum += result.best_cost
             delay_sum += model.access_delay(datum, result.best, requester)
             energy_sum += placement_energy(datum, result.best, options.energy)
@@ -246,8 +293,9 @@ def run_trial(
     algorithm: str,
     root_seed: int,
     options: TrialOptions = TrialOptions(),
+    experiment: Experiment | None = None,
 ) -> RunReport:
-    return run_trial_detailed(spec, algorithm, root_seed, options).report
+    return run_trial_detailed(spec, algorithm, root_seed, options, experiment).report
 
 
 @dataclass(frozen=True)
@@ -283,15 +331,28 @@ def run_grid(
 ) -> dict[tuple[str, int], RunReport]:
     """Every (algorithm, seed) trial, keyed algorithm-major in argument order.
 
-    Trials share no state, so the reports do not depend on workers.
+    Seed by seed, every algorithm runs on that seed's one Experiment.
+    Trials share no mutable state, so the reports do not depend on workers.
     """
-    tasks = [(algo, seed) for algo in algorithms for seed in seeds]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: run_trial(spec, t[0], t[1], options), tasks))
-    else:
-        results = [run_trial(spec, algo, seed, options) for algo, seed in tasks]
-    return dict(zip(tasks, results))
+    algorithms = list(algorithms)
+    seeds = list(seeds)
+    reports = {}
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for seed in seeds:
+            reports.update(_run_seed(spec, algorithms, seed, options, pool))
+    return {(algo, seed): reports[(algo, seed)] for algo in algorithms for seed in seeds}
+
+
+def _run_seed(spec, algorithms, seed, options, pool) -> dict[tuple[str, int], RunReport]:
+    # The experiment lives only in this frame, so the next seed's is built
+    # after this one has been freed.
+    experiment = build_experiment(spec, seed, options)
+
+    def trial(algo):
+        return run_trial(spec, algo, seed, options, experiment)
+
+    results = pool.map(trial, algorithms) if pool is not None else map(trial, algorithms)
+    return dict(zip(((algo, seed) for algo in algorithms), results))
 
 
 def win_rate(a_by_seed, b_by_seed) -> tuple[float, int]:
@@ -382,7 +443,7 @@ def summarize(reports) -> dict[str, MetricStats]:
         check_totals(r.series, r.totals)
 
     out = {}
-    for name in ("mean_cost_s", "mean_delay_s", "energy_j", "placed", "failures"):
+    for name in TOTALS_FIELDS:
         values = [float(getattr(r.totals, name)) for r in reports]
         out[name] = MetricStats(
             mean=sum(values) / len(values),
@@ -446,11 +507,5 @@ def totals_to_dict(report: RunReport) -> dict:
         "scenario": report.scenario,
         "algorithm": report.algorithm,
         "seed": report.seed,
-        "totals": {
-            "mean_cost_s": report.totals.mean_cost_s,
-            "mean_delay_s": report.totals.mean_delay_s,
-            "energy_j": report.totals.energy_j,
-            "placed": report.totals.placed,
-            "failures": report.totals.failures,
-        },
+        "totals": {name: getattr(report.totals, name) for name in TOTALS_FIELDS},
     }

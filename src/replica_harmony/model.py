@@ -11,7 +11,7 @@ Waiting times are plain seconds, capacities bytes, transfer rates bytes/s.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import CapacityExceeded, InvalidAllocation
@@ -197,15 +197,21 @@ def commit_placement(t: Topology, d: DataItem, a: AllocationVector) -> Topology:
     offending cloud) without touching any state if one target lacks room.
     """
     check_allocation(t, a)
+    clouds = list(t.clouds)
     for c in a.clouds:
-        if t.clouds[c].free_capacity < d.size:
+        if clouds[c].free_capacity < d.size:
             raise CapacityExceeded(c)
-    targets = set(a.clouds)
-    new_clouds = tuple(
-        replace(c, used_capacity=c.used_capacity + d.size) if c.id in targets else c
-        for c in t.clouds
-    )
-    return replace(t, clouds=new_clouds)
+    for c in a.clouds:
+        old = clouds[c]
+        clouds[c] = MiniCloud(
+            old.id,
+            old.write_delay_ms,
+            old.read_delay_ms,
+            old.waiting_time_s,
+            old.total_capacity,
+            old.used_capacity + d.size,
+        )
+    return Topology(t.gateways, tuple(clouds), t.links)
 
 
 # --- JSON (de)serialization ------------------------------------------------

@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import Infeasible, SearchSpaceTooLarge
 from .model import AllocationVector, DataItem, Topology
@@ -60,8 +60,7 @@ class PlacementProblem:
         return self.datum.replica_count
 
 
-@dataclass(frozen=True)
-class Harmony:
+class Harmony(NamedTuple):
     vector: AllocationVector
     cost: float
 
@@ -86,10 +85,6 @@ class HarmonyMemory:
     def replace_worst(self, h: Harmony) -> None:
         self.harmonies[-1] = h
         self.harmonies.sort(key=lambda x: x.cost)
-
-    def is_sorted(self) -> bool:
-        costs = [h.cost for h in self.harmonies]
-        return all(a <= b for a, b in zip(costs, costs[1:]))
 
 
 @dataclass(frozen=True)
@@ -268,8 +263,9 @@ def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
     r = problem.replica_count
     feasible = problem.feasible_clouds
 
-    pop_size = max(2, min(GA_POPULATION, params.budget))
-    generations = max(0, (params.budget - pop_size) // (pop_size - 1))
+    # a budget of 1 buys one random vector and no generation
+    pop_size = max(1, min(GA_POPULATION, params.budget))
+    generations = max(0, (params.budget - pop_size) // (pop_size - 1)) if pop_size > 1 else 0
 
     population = sorted(
         (_evaluated(problem, random_allocation(problem, rng)) for _ in range(pop_size)),

@@ -212,6 +212,66 @@ def test_run_exhaustive_output_digests(tmp_path, monkeypatch):
     assert digests == EXHAUSTIVE_DIGESTS
 
 
+# captured before trials shared one experiment per (scenario, seed)
+COMPARE_DIGESTS = {
+    "comparison.csv": "bef42c6a07082064a10453f557477e3cdd0fa461b1d60ca18a95b41e30e5a404",
+    "plot_builtin-1_cost.csv": "2362a7ce7673e91d872b9f93424b61a22bb1f99411174a5f0b6e0f5c50bdc661",
+    "plot_builtin-1_delay.csv": "029ef477f6e4963f4466120b822ed6fa951bc673866edf3a2a23dff15e7ef2b8",
+    "plot_builtin-1_energy.csv": "2fd401640ed678623d779b919f776b9a3f65f92338bdad4b25ae5e9ae8995bb4",
+    "win_rates.csv": "e9fca7bef8b8296244348ffcbd70b5af59f276128089e7b499e6ae2867d04f48",
+}
+# about a quarter of the data fail as Infeasible (hs: 126 placed, 41 failed)
+TIGHT_SPEC = {"name": "tight", "num_gateways": 22, "num_clouds": 8, "timesteps": 40,
+              "capacity_range_bytes": [800, 2000]}
+TIGHT_DIGESTS = {
+    "comparison.csv": "8c281f79d0dcc6fb05f72c6cf8389efa7f507cbe4a08f0b643b00a1847460392",
+    "plot_tight_cost.csv": "f20b2346b016ff1942e628644567ea93dce1cff8c364c8a1ca4fddcdc1127509",
+    "plot_tight_delay.csv": "fab1a7e499c920191a996b148eeb4c643013f18f540b1862eb5f2cdb56bd769e",
+    "plot_tight_energy.csv": "5d06401604f96c934ca54f5142523a8a90f96ceeaf180bfea3289044bf53201e",
+    "win_rates.csv": "1196f1aa150ae03305b6be4c7e453dafc147208fd9475292eb60e9f2e096e78a",
+}
+FIXED_EXERCISE_DIGESTS = {
+    "trial_builtin-2_foa_seed0.csv": "9e8f799b31a651d56189d199fc83b61d779141e042a18acbcca221d0e8d5b35f",
+    "trial_builtin-2_foa_seed0.json": "14461477d8e702fb3a911056205a2af2ea3b0f4253b19210b1c909c3385907ba",
+    "trial_builtin-2_foa_seed1.csv": "031fc068709a1ec485bb9d667adb18dc34d88b89ca3dad161cc27bc1ccb7e989",
+    "trial_builtin-2_foa_seed1.json": "340d9b433560adf8090dbba765f19aa3d37d079677c00bdd1598efc690c48bc2",
+    "trial_builtin-2_hs_seed0.csv": "bcaa65d755d012fd02d0fa4f952a1c09d8f4f3a7d4d2595edfe3bc23cbee381d",
+    "trial_builtin-2_hs_seed0.json": "f1eb443d4fa4a3306963cb8446e0722d3007b6ea10f30179c81c5237b1050d4a",
+    "trial_builtin-2_hs_seed1.csv": "a427b144af77886a728639897c04fa604e3d6c16fbcdfa3b1699fbe0a249d31f",
+    "trial_builtin-2_hs_seed1.json": "b4fe6315a51228211c03d13dfc658180e428446c81d9a1b3d3978b4a1d918cc6",
+}
+FOUR_ALGOS = ["--algo", "hs", "--algo", "random", "--algo", "ga", "--algo", "foa"]
+
+
+def _output_digests(tmp_path, spec_text, argv):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec_text)
+    out = tmp_path / "out"
+    assert main([argv[0], "--scenario", str(spec_path), *argv[1:], "--out", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "spec_text, digests",
+    [
+        (scenario_to_json(dataclasses.replace(builtin_scenario(1), timesteps=20)), COMPARE_DIGESTS),
+        (json.dumps(TIGHT_SPEC), TIGHT_DIGESTS),
+    ],
+    ids=["builtin1", "tight"],
+)
+def test_compare_output_digests(tmp_path, monkeypatch, spec_text, digests):
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    argv = ["compare", *FOUR_ALGOS, "--seeds", "0,1", "--threads", "2"]
+    assert _output_digests(tmp_path, spec_text, argv) == digests
+
+
+def test_run_fixed_exercises_output_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    spec_text = scenario_to_json(dataclasses.replace(builtin_scenario(2), timesteps=20))
+    argv = ["run", "--algo", "hs", "--algo", "foa", "--exercises", "3", "--seeds", "2"]
+    assert _output_digests(tmp_path, spec_text, argv) == FIXED_EXERCISE_DIGESTS
+
+
 def test_run_rejects_bad_algorithm(tmp_path):
     code = main(["run", "--scenario", "builtin:1", "--algo", "nosuch", "--out", str(tmp_path)])
     assert code == 2
@@ -329,6 +389,40 @@ def test_report_detects_tampered_summary(tmp_path, capsys):
     doc["totals"]["mean_cost_s"] += 0.5
     summary_path.write_text(json.dumps(doc))
     assert main(["report", str(out)]) == 5
+    assert summary_path.name in capsys.readouterr().err
+
+
+def _drop_totals(doc):
+    del doc["totals"]
+
+
+def _drop_placed(doc):
+    del doc["totals"]["placed"]
+
+
+def _add_unknown(doc):
+    doc["totals"]["median_cost_s"] = 1.0
+
+
+def _stringify_cost(doc):
+    doc["totals"]["mean_cost_s"] = str(doc["totals"]["mean_cost_s"])
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_drop_totals, _drop_placed, _add_unknown, _stringify_cost],
+    ids=["no-totals", "missing-key", "unknown-key", "non-number"],
+)
+def test_report_rejects_malformed_summary(tmp_path, capsys, tamper):
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    out = tmp_path / "runs"
+    assert main(["run", "--scenario", str(spec_path), "--algo", "hs", "--out", str(out)]) == 0
+    summary_path = next(out.glob("trial_*.json"))
+    doc = json.loads(summary_path.read_text())
+    tamper(doc)
+    summary_path.write_text(json.dumps(doc))
+    assert main(["report", str(out)]) == 4
     assert summary_path.name in capsys.readouterr().err
 
 

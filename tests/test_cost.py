@@ -91,6 +91,13 @@ def test_breakdown_invariants_hold_on_random_instances():
         assert breakdown.total >= 0.0
 
 
+def test_total_equals_breakdown_total_bit_exact():
+    for seed in range(1000):
+        t, d, a = random_instance(seed)
+        model = CostModel(t)
+        assert model.breakdown(d, a).total == model.total(d, a)
+
+
 def test_matches_naive_oracle():
     for seed in range(300):
         t, d, a = random_instance(seed)

@@ -1,8 +1,11 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import pytest
 
+from replica_harmony import harness
 from replica_harmony.errors import EmptyInput, ShapeMismatch, UnknownAlgorithm
 from replica_harmony.harness import (
     ALGORITHMS,
@@ -11,6 +14,7 @@ from replica_harmony.harness import (
     RunTotals,
     TimestepRecord,
     TrialOptions,
+    build_experiment,
     check_totals,
     compare_algorithms,
     recompute_totals,
@@ -151,6 +155,60 @@ def test_run_grid_keys_are_algorithm_major():
     grid = run_grid(small_spec(timesteps=5), ["random", "hs"], [3, 1], workers=2)
     assert list(grid) == [("random", 3), ("random", 1), ("hs", 3), ("hs", 1)]
     assert grid[("hs", 1)] == run_trial(small_spec(timesteps=5), "hs", 1)
+
+
+@pytest.mark.parametrize("options", [TrialOptions(), TrialOptions(exercises=3)], ids=["drawn", "fixed"])
+def test_shared_experiment_gives_the_same_reports(options):
+    # tight capacities so the failure path runs too
+    spec = small_spec(timesteps=12, capacity_range_bytes=(300.0, 600.0))
+    experiment = build_experiment(spec, 6, options)
+    assert (experiment.exercises is None) == (options.exercises is not None)
+    assert len(experiment.requesters) == len(experiment.workload)
+    for algo in ALGORITHMS:
+        shared = run_trial_detailed(spec, algo, 6, options, experiment)
+        alone = run_trial_detailed(spec, algo, 6, options)
+        assert shared.report == alone.report
+        assert shared.placements == alone.placements
+        assert shared.final_topology == alone.final_topology
+    # trials never change the experiment they share
+    assert experiment == build_experiment(spec, 6, options)
+
+
+def test_shared_experiment_needs_exercise_counts():
+    experiment = build_experiment(small_spec(timesteps=3), 1, TrialOptions(exercises=3))
+    with pytest.raises(ValueError):
+        run_trial(small_spec(timesteps=3), "hs", 1, TrialOptions(), experiment)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_grid_builds_one_experiment_per_seed(monkeypatch, workers):
+    calls = []
+    original = harness.generate_topology
+
+    def counting(spec, rng):
+        calls.append(spec.name)
+        return original(spec, rng)
+
+    monkeypatch.setattr(harness, "generate_topology", counting)
+    run_grid(small_spec(timesteps=5), ["hs", "random", "ga", "foa"], [0, 1, 2], workers=workers)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_grid_frees_each_experiment_before_the_next(monkeypatch, workers):
+    previous = []
+    original = harness.build_experiment
+
+    def tracked(spec, seed, options):
+        gc.collect()
+        assert all(ref() is None for ref in previous), "the last seed's experiment is alive"
+        experiment = original(spec, seed, options)
+        previous.append(weakref.ref(experiment))
+        return experiment
+
+    monkeypatch.setattr(harness, "build_experiment", tracked)
+    run_grid(small_spec(timesteps=5), ["hs", "random"], [0, 1, 2], workers=workers)
+    assert len(previous) == 3
 
 
 def test_win_rate_pairs_only_shared_seeds():

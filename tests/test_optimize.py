@@ -187,7 +187,8 @@ def test_harmony_memory_sorted_after_replacements():
     memory = HarmonyMemory(
         [Harmony(AllocationVector((i,)), rng.uniform(0, 10)) for i in range(10)]
     )
-    assert memory.is_sorted()
+    costs = [h.cost for h in memory.harmonies]
+    assert costs == sorted(costs)
     for i in range(50):
         before = sorted(h.cost for h in memory.harmonies)
         new = Harmony(AllocationVector((i + 10,)), rng.uniform(0, 10))
@@ -196,7 +197,8 @@ def test_harmony_memory_sorted_after_replacements():
             after = sorted(h.cost for h in memory.harmonies)
             # the multiset changed by exactly one element
             assert len(set_diff(before, after)) == 1
-        assert memory.is_sorted()
+        costs = [h.cost for h in memory.harmonies]
+        assert costs == sorted(costs)
 
 
 def set_diff(before, after):
@@ -269,6 +271,16 @@ def test_ga_budget_and_trace():
     assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
     assert result.best_cost == problem.objective(result.best)
     assert ga_optimize(problem, GAParams(seed=2, budget=560)) == result
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 5])
+def test_ga_and_foa_keep_small_budgets(budget):
+    problem = make_problem(15)
+    ga = ga_optimize(problem, GAParams(seed=4, budget=budget))
+    foa = foa_optimize(problem, FOAParams(seed=4, budget=budget))
+    assert 1 <= ga.evaluations <= budget
+    assert 1 <= foa.evaluations <= budget
+    assert ga.best_cost == problem.objective(ga.best)
 
 
 def test_ga_without_variation_keeps_best_constant(monkeypatch):
