@@ -51,7 +51,7 @@ from .scenario import (
     builtin_scenario,
     generate_topology,
     generate_workload,
-    scenario_from_json,
+    scenario_from_dict,
 )
 from .seeding import derive_seed
 
@@ -75,7 +75,15 @@ def resolve_scenario(source: str) -> ScenarioSpec:
         except ValueError:
             raise UnknownScenario(f"bad builtin scenario {source!r}; valid: builtin:1..builtin:4")
         return builtin_scenario(k)
-    return scenario_from_json(Path(source).read_text())
+    return scenario_from_dict(_load_json(source))
+
+
+def _load_json(path: str):
+    """The document in a JSON input file; a syntax error is a ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _env_seed(default: int) -> int:
@@ -104,7 +112,7 @@ def resolve_seeds(raw: str | None, base: int) -> list[int]:
 def _load_energy_params(path: str | None) -> EnergyParams:
     if path is None:
         return EnergyParams()
-    doc = json.loads(Path(path).read_text())
+    doc = _load_json(path)
     return EnergyParams(
         e_uplink=float(doc.get("e_uplink", EnergyParams.e_uplink)),
         e_intercloud=float(doc.get("e_intercloud", EnergyParams.e_intercloud)),
@@ -374,7 +382,7 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (OSError, json.JSONDecodeError, MalformedInput) as exc:
+    except (OSError, MalformedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ShapeMismatch, ReplicaHarmonyError) as exc:

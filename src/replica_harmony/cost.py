@@ -21,6 +21,7 @@ Access delay and energy are simpler artifact-defined models:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import InvalidAllocation
 from .model import AllocationVector, DataItem, Topology, check_allocation
@@ -60,46 +61,62 @@ class CostBreakdown:
 class CostModel:
     """Evaluator bound to one topology.
 
-    Precomputes per-byte delay tables once so that per-call work is a few
-    multiply-adds; the table entries use the same left-to-right additions
-    as the formula above, so results are bit-identical to a naive
-    evaluation.
+    Per-byte delay tables make per-call work a few multiply-adds. Each cell
+    adds the R/1000 and W/1000 terms, computed once, left to right as the
+    formula above does, so results are bit-identical to a naive evaluation.
+    The cloud-to-cloud table is built up front; a gateway's entry and read
+    rows are built on first use (two threads that fill one row build equal
+    tuples). Ids are range-checked before any row is built.
     """
 
     def __init__(self, t: Topology):
         self.topology = t
-        gw = t.links.gw_to_cloud
+        self._num_gateways = t.num_gateways
+        self._num_clouds = t.num_clouds
+        self._uplink = t.links.gw_to_cloud
         cc = t.links.cloud_to_cloud
         self._gw_wait = tuple(g.waiting_time_s for g in t.gateways)
         self._cloud_wait = tuple(c.waiting_time_s for c in t.clouds)
-        # entry_base[g][c] = 1/B_gc + R_g + W_c, seconds per byte
-        self._entry_base = tuple(
-            tuple(
-                1.0 / gw[g.id][c.id] + g.read_delay_ms / MS_PER_S + c.write_delay_ms / MS_PER_S
-                for c in t.clouds
-            )
-            for g in t.gateways
-        )
+        self._gw_read = tuple(g.read_delay_ms / MS_PER_S for g in t.gateways)
+        self._cloud_read = tuple(c.read_delay_ms / MS_PER_S for c in t.clouds)
+        self._cloud_write = tuple(c.write_delay_ms / MS_PER_S for c in t.clouds)
         # prop_base[c][c2] = 1/B_cc2 + R_c + W_c2, seconds per byte; diagonal unused
         self._prop_base = tuple(
             tuple(
-                0.0
-                if c.id == c2.id
-                else 1.0 / cc[c.id][c2.id] + c.read_delay_ms / MS_PER_S + c2.write_delay_ms / MS_PER_S
-                for c2 in t.clouds
+                0.0 if c == c2 else 1.0 / b + r + w
+                for c2, (b, w) in enumerate(zip(cc[c], self._cloud_write))
             )
-            for c in t.clouds
+            for c, r in enumerate(self._cloud_read)
         )
-        # read_base[g][c] = 1/B_gc + R_c, seconds per byte (retrieval path)
-        self._read_base = tuple(
-            tuple(1.0 / gw[g.id][c.id] + c.read_delay_ms / MS_PER_S for c in t.clouds)
-            for g in t.gateways
-        )
+        # one slot per gateway, filled by _entry_row and _read_row
+        self._entry_rows: list[tuple[float, ...] | None] = [None] * t.num_gateways
+        self._read_rows: list[tuple[float, ...] | None] = [None] * t.num_gateways
+
+    def _entry_row(self, g: int) -> tuple[float, ...]:
+        """Entry row of gateway g: 1/B_gc + R_g + W_c per cloud c, seconds per byte; g in range."""
+        row = self._entry_rows[g]
+        if row is None:
+            rg = self._gw_read[g]
+            row = tuple(1.0 / b + rg + w for b, w in zip(self._uplink[g], self._cloud_write))
+            self._entry_rows[g] = row
+        return row
+
+    def _read_row(self, g: int) -> tuple[float, ...]:
+        """Read row of gateway g: 1/B_gc + R_c per cloud c, seconds per byte; g in range."""
+        row = self._read_rows[g]
+        if row is None:
+            row = tuple(1.0 / b + r for b, r in zip(self._uplink[g], self._cloud_read))
+            self._read_rows[g] = row
+        return row
+
+    def _check_gateway(self, g: int, role: str) -> None:
+        if not (0 <= g < self._num_gateways):
+            raise InvalidAllocation(f"{role} gateway id {g} out of range")
 
     def _candidate_totals(self, d: DataItem, a: AllocationVector) -> list[tuple[int, float, float, float]]:
         size = d.size
         gw_wait = self._gw_wait[d.source_gateway]
-        entry_row = self._entry_base[d.source_gateway]
+        entry_row = self._entry_row(d.source_gateway)
         out = []
         for c in a.clouds:
             entry = gw_wait + entry_row[c] * size
@@ -115,43 +132,53 @@ class CostModel:
             out.append((c, entry, prop, entry + prop))
         return out
 
-    def _check(self, d: DataItem, a: AllocationVector) -> None:
-        check_allocation(self.topology, a)
-        if not (0 <= d.source_gateway < self.topology.num_gateways):
-            raise InvalidAllocation(f"source gateway id {d.source_gateway} out of range")
-
     def total(self, d: DataItem, a: AllocationVector) -> float:
         """Replication cost in seconds; fast path without the breakdown.
 
         One pass over the entry candidates with the expressions of
         _candidate_totals, keeping the first smallest total as min() does.
+        The pass range-checks each cloud id as an entry candidate; an id
+        past the end that an inner loop indexes first falls back to
+        check_allocation, so the error names the first bad id either way.
         """
-        self._check(d, a)
+        g = d.source_gateway
+        if not (0 <= g < self._num_gateways):
+            raise InvalidAllocation(f"source gateway id {g} out of range")
+        entry_row = self._entry_rows[g]
+        if entry_row is None:
+            entry_row = self._entry_row(g)
         size = d.size
-        gw_wait = self._gw_wait[d.source_gateway]
-        entry_row = self._entry_base[d.source_gateway]
+        gw_wait = self._gw_wait[g]
         prop_base = self._prop_base
         cloud_waits = self._cloud_wait
+        n = self._num_clouds
         clouds = a.clouds
         best = None
-        for c in clouds:
-            entry = gw_wait + entry_row[c] * size
-            prop_row = prop_base[c]
-            cloud_wait = cloud_waits[c]
-            prop = 0.0
-            for c2 in clouds:
-                if c2 == c:
-                    continue
-                branch = cloud_wait + prop_row[c2] * size
-                if branch > prop:
-                    prop = branch
-            cand = entry + prop
-            if best is None or cand < best:
-                best = cand
+        try:
+            for c in clouds:
+                if not (0 <= c < n):
+                    raise InvalidAllocation(f"cloud id {c} out of range [0, {n})")
+                entry = gw_wait + entry_row[c] * size
+                prop_row = prop_base[c]
+                cloud_wait = cloud_waits[c]
+                prop = 0.0
+                for c2 in clouds:
+                    if c2 == c:
+                        continue
+                    branch = cloud_wait + prop_row[c2] * size
+                    if branch > prop:
+                        prop = branch
+                cand = entry + prop
+                if best is None or cand < best:
+                    best = cand
+        except IndexError:
+            check_allocation(self.topology, a)
+            raise
         return best
 
     def breakdown(self, d: DataItem, a: AllocationVector) -> CostBreakdown:
-        self._check(d, a)
+        check_allocation(self.topology, a)
+        self._check_gateway(d.source_gateway, "source")
         candidates = self._candidate_totals(d, a)
         best = min(candidates, key=lambda item: item[3])
         return CostBreakdown(
@@ -177,9 +204,14 @@ class CostModel:
         """
         if not (1 <= r <= len(feasible)):
             raise ValueError(f"need 1 <= r <= {len(feasible)} feasible clouds, got r={r}")
+        self._check_gateway(d.source_gateway, "source")
+        n = self._num_clouds
+        for c in feasible:
+            if not (0 <= c < n):
+                raise InvalidAllocation(f"cloud id {c} out of range [0, {n})")
         size = d.size
         gw_wait = self._gw_wait[d.source_gateway]
-        entry_row = self._entry_base[d.source_gateway]
+        entry_row = self._entry_row(d.source_gateway)
         rows = []
         for c in feasible:
             entry = gw_wait + entry_row[c] * size
@@ -207,19 +239,14 @@ class CostModel:
     def access_delay(self, d: DataItem, a: AllocationVector, requester: int) -> float:
         """Best-replica retrieval time in seconds for the given gateway."""
         check_allocation(self.topology, a)
-        if not (0 <= requester < self.topology.num_gateways):
-            raise InvalidAllocation(f"requester gateway id {requester} out of range")
+        self._check_gateway(requester, "requester")
         size = d.size
-        read_row = self._read_base[requester]
+        read_row = self._read_row(requester)
         return min(self._cloud_wait[c] + read_row[c] * size for c in a.clouds)
 
     def objective(self, d: DataItem):
         """Bind a datum; returns the callable optimizers minimize."""
-
-        def evaluate(a: AllocationVector) -> float:
-            return self.total(d, a)
-
-        return evaluate
+        return partial(self.total, d)
 
 
 def replication_cost(t: Topology, d: DataItem, a: AllocationVector) -> CostBreakdown:

@@ -334,6 +334,8 @@ def run_grid(
     Seed by seed, every algorithm runs on that seed's one Experiment.
     Trials share no mutable state, so the reports do not depend on workers.
     """
+    if workers < 1:
+        raise ValueError(f"workers (--threads) must be >= 1, got {workers}")
     algorithms = list(algorithms)
     seeds = list(seeds)
     reports = {}

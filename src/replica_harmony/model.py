@@ -43,7 +43,7 @@ class MiniCloud:
 
 
 def _freeze_matrix(rows) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(x) for x in row) for row in rows)
+    return tuple(tuple(map(float, row)) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -185,9 +185,10 @@ def validate_topology(t: Topology) -> list[str]:
 
 def check_allocation(t: Topology, a: AllocationVector) -> None:
     """Raise InvalidAllocation unless every id in ``a`` names a cloud of ``t``."""
+    n = len(t.clouds)
     for c in a.clouds:
-        if not (0 <= c < t.num_clouds):
-            raise InvalidAllocation(f"cloud id {c} out of range [0, {t.num_clouds})")
+        if not (0 <= c < n):
+            raise InvalidAllocation(f"cloud id {c} out of range [0, {n})")
 
 
 def commit_placement(t: Topology, d: DataItem, a: AllocationVector) -> Topology:

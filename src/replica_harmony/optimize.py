@@ -15,6 +15,7 @@ used here.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -41,9 +42,13 @@ class PlacementProblem:
     ):
         self.topology = topology
         self.datum = datum
-        self.feasible_clouds: tuple[int, ...] = tuple(
-            c.id for c in topology.clouds if c.free_capacity >= datum.size
-        )
+        size = datum.size
+        # free_capacity written out; random_allocation samples from the list,
+        # which random.sample type-checks faster than a tuple
+        self._sample_pool = [
+            c.id for c in topology.clouds if c.total_capacity - c.used_capacity >= size
+        ]
+        self.feasible_clouds: tuple[int, ...] = tuple(self._sample_pool)
         if datum.replica_count > len(self.feasible_clouds):
             raise Infeasible(
                 f"datum {datum.id} needs {datum.replica_count} replicas but only "
@@ -83,8 +88,10 @@ class HarmonyMemory:
         return self.harmonies[-1]
 
     def replace_worst(self, h: Harmony) -> None:
-        self.harmonies[-1] = h
-        self.harmonies.sort(key=lambda x: x.cost)
+        """Drop the worst harmony; h goes after every harmony of equal cost,
+        where a stable sort would put it."""
+        self.harmonies.pop()
+        bisect.insort_right(self.harmonies, h, key=lambda x: x.cost)
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,7 @@ def random_allocation(problem: PlacementProblem, rng: random.Random) -> Allocati
     r = problem.replica_count
     if r > len(problem.feasible_clouds):
         raise Infeasible(f"only {len(problem.feasible_clouds)} feasible clouds for r={r}")
-    return AllocationVector(tuple(rng.sample(problem.feasible_clouds, r)))
+    return AllocationVector(tuple(rng.sample(problem._sample_pool, r)))
 
 
 def roulette_select_pair(memory: HarmonyMemory, rng: random.Random) -> tuple[int, int]:

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -188,6 +190,33 @@ def test_out_of_range_spec_is_a_config_error(tmp_path, capsys, field, bad):
     for command in ("generate", "run"):
         assert main([command, "--scenario", str(spec_path), "--out", str(tmp_path / "out")]) == 2
         assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_threads_below_one_is_a_config_error(tmp_path, capsys, command, threads):
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    argv = [command, "--scenario", str(spec_path), "--algo", "hs", "--algo", "random",
+            "--threads", threads, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--scenario", "--energy-params"])
+def test_json_syntax_error_names_the_file(tmp_path, capsys, flag):
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    bad_path = tmp_path / "broken.json"
+    bad_path.write_text('{"name": "tiny",,}')
+    if flag == "--scenario":
+        argv = ["run", "--scenario", str(bad_path)]
+    else:
+        argv = ["run", "--scenario", str(spec_path), "--energy-params", str(bad_path)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert str(bad_path) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -460,3 +489,28 @@ def test_perfbench_tracer_names_resolve():
         assert callable(getattr(modules[module], attr, None)), f"{module}.{attr}"
     for module, cls, method, *_ in tracing.METHODS:
         assert callable(getattr(getattr(modules[module], cls), method, None)), f"{cls}.{method}"
+
+
+def test_perfbench_tracer_counts_every_evaluation(tmp_path, monkeypatch):
+    # A traced benchmark job must still see each evaluation as a
+    # CostModel.total call. The tracer rewrites package globals for the rest
+    # of its process, so the job runs in a child process.
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    root = Path(__file__).resolve().parent.parent
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path, capacity_range_bytes=(1e9, 2e9))
+    out = tmp_path / "out"
+    trace_path = tmp_path / "trace.json"
+    argv = ["run", "--scenario", str(spec_path), "--algo", "hs", "--hms", "4",
+            "--exercises", "3", "--out", str(out)]
+    subprocess.run(
+        [sys.executable, str(root / "perfbench" / "job.py"), str(tmp_path / "stamp.json"),
+         str(trace_path), *argv],
+        check=True, cwd=tmp_path, timeout=120,
+    )
+    layers = json.loads(trace_path.read_text())["layers"]
+    totals = json.loads((out / "trial_tiny_hs_seed0.json").read_text())["totals"]
+    assert totals["placed"] > 0
+    assert totals["failures"] == 0
+    assert layers["cost.eval"]["calls"] == (4 + 3) * totals["placed"]
+    assert layers["model.commit"]["calls"] == totals["placed"]

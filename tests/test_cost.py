@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -191,3 +192,124 @@ def test_invalid_inputs_raise(example_topology):
         model.total(DataItem(0, 10.0, 3, 1), AllocationVector((0,)))
     with pytest.raises(InvalidAllocation):
         model.access_delay(DataItem(0, 10.0, 0, 1), AllocationVector((0,)), requester=2)
+
+
+# --- cost rows built on first use ---------------------------------------------
+#
+# CostModel hoists the R/1000 and W/1000 terms and builds a gateway's rows
+# only when a method first needs them. The oracles below write every cell
+# out unhoisted, so the lazy tables must match them bit for bit, whatever
+# order the gateways are touched in.
+
+def unhoisted_access_delay(t: Topology, d: DataItem, a: AllocationVector, requester: int) -> float:
+    return min(
+        t.clouds[c].waiting_time_s
+        + (1.0 / t.links.gw_to_cloud[requester][c] + t.clouds[c].read_delay_ms / 1000.0) * d.size
+        for c in a.clouds
+    )
+
+
+def unhoisted_candidates(t: Topology, d: DataItem, a: AllocationVector) -> list[tuple[int, float, float]]:
+    """(entry cloud, entry cost, propagation cost) per candidate, in allocation order."""
+    g = t.gateways[d.source_gateway]
+    out = []
+    for entry in a.clouds:
+        c = t.clouds[entry]
+        first = g.waiting_time_s + (
+            1.0 / t.links.gw_to_cloud[g.id][entry] + g.read_delay_ms / 1000.0 + c.write_delay_ms / 1000.0
+        ) * d.size
+        prop = 0.0
+        for other in a.clouds:
+            if other != entry:
+                branch = c.waiting_time_s + (
+                    1.0 / t.links.cloud_to_cloud[entry][other]
+                    + c.read_delay_ms / 1000.0
+                    + t.clouds[other].write_delay_ms / 1000.0
+                ) * d.size
+                if branch > prop:
+                    prop = branch
+        out.append((entry, first, prop))
+    return out
+
+
+def assert_matches_unhoisted(model: CostModel, t: Topology, d: DataItem, a: AllocationVector, requester: int):
+    candidates = unhoisted_candidates(t, d, a)
+    want = min(first + prop for _, first, prop in candidates)
+    assert model.total(d, a).hex() == want.hex()
+    breakdown = model.breakdown(d, a)
+    assert [(c, total.hex()) for c, total in breakdown.per_candidate] == [
+        (c, (first + prop).hex()) for c, first, prop in candidates
+    ]
+    entry_cloud, first, prop = next(c for c in candidates if c[1] + c[2] == want)
+    assert (breakdown.entry_cloud, breakdown.entry_cost.hex(), breakdown.propagation_cost.hex()) == (
+        entry_cloud, first.hex(), prop.hex()
+    )
+    assert model.access_delay(d, a, requester).hex() == unhoisted_access_delay(t, d, a, requester).hex()
+
+    # the exact solver against an enumeration of the unhoisted totals
+    r = len(a)
+    feasible = tuple(range(t.num_clouds))
+    best = min(
+        itertools.combinations(feasible, r),
+        key=lambda combo: min(f + p for _, f, p in unhoisted_candidates(t, d, AllocationVector(combo))),
+    )
+    assert model.best_allocation(d, feasible, r).clouds == best
+
+
+def test_lazy_rows_match_unhoisted_formulas_on_random_instances():
+    for seed in range(300):
+        t, d, a = random_instance(seed)
+        requester = random.Random(seed).randrange(t.num_gateways)
+        assert_matches_unhoisted(CostModel(t), t, d, a, requester)
+
+
+def test_lazy_rows_match_unhoisted_formulas_in_shuffled_gateway_order():
+    rng = random.Random(4_242)
+    t = make_topology(rng, 60, 7)
+    model = CostModel(t)
+    sources = list(range(t.num_gateways))
+    requesters = list(range(t.num_gateways))
+    rng.shuffle(sources)
+    rng.shuffle(requesters)
+    for source, requester in zip(sources, requesters):
+        r = rng.randint(1, 4)
+        d = DataItem(0, float(rng.randint(20, 100)), source, r)
+        a = AllocationVector(tuple(rng.sample(range(t.num_clouds), r)))
+        assert_matches_unhoisted(model, t, d, a, requester)
+    # every row is built by now; a second pass reads the cached rows
+    for source in sources[:10]:
+        d = DataItem(0, 64.0, source, 3)
+        a = AllocationVector((2, 0, 5))
+        assert_matches_unhoisted(model, t, d, a, sources[-1])
+
+
+@pytest.mark.parametrize("gateway", [-1, 60])
+def test_out_of_range_gateway_raises_before_any_row_is_built(gateway):
+    t = make_topology(random.Random(17), 60, 7)
+    model = CostModel(t)
+    d = DataItem(0, 50.0, gateway, 2)
+    a = AllocationVector((0, 1))
+    with pytest.raises(InvalidAllocation):
+        model.total(d, a)
+    with pytest.raises(InvalidAllocation):
+        model.breakdown(d, a)
+    with pytest.raises(InvalidAllocation):
+        model.best_allocation(d, tuple(range(7)), 2)
+    with pytest.raises(InvalidAllocation):
+        model.access_delay(DataItem(0, 50.0, 0, 2), a, gateway)
+    assert model._entry_rows == [None] * 60
+    assert model._read_rows == [None] * 60
+
+
+@pytest.mark.parametrize("clouds", [(0, 7), (7, 0), (0, -1), (-1, 0), (2, 0, 99)])
+def test_total_rejects_out_of_range_clouds_anywhere_in_the_vector(clouds):
+    model = CostModel(make_topology(random.Random(18), 3, 7))
+    with pytest.raises(InvalidAllocation, match=f"cloud id {[c for c in clouds if not 0 <= c < 7][0]} "):
+        model.total(DataItem(0, 50.0, 1, len(clouds)), AllocationVector(clouds))
+
+
+@pytest.mark.parametrize("feasible", [(0, 1, 99), (-1, 0, 1), (0, 7)])
+def test_best_allocation_rejects_out_of_range_clouds(feasible):
+    model = CostModel(make_topology(random.Random(19), 3, 7))
+    with pytest.raises(InvalidAllocation):
+        model.best_allocation(DataItem(0, 50.0, 1, 2), feasible, 2)
