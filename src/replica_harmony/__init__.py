@@ -29,7 +29,6 @@ from .harness import (
     compare_algorithms,
     run_trial,
     run_trial_detailed,
-    summarize,
 )
 from .model import (
     AllocationVector,

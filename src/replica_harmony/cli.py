@@ -4,8 +4,9 @@ Subcommands: generate (topology + workload files), run (trial CSV/JSON
 reports), compare (comparison table, win rates, plot data), report
 (rankings from a directory of run outputs). All randomness flows from the
 seed flags, REPLICA_HARMONY_SEED, or a scenario file's seed field, in that
-order of precedence; identical invocations produce identical bytes
-regardless of --threads.
+order of precedence; identical invocations produce identical bytes.
+Trials run serially; --threads is accepted and validated but changes
+nothing.
 
 Exit codes: 0 ok, 2 configuration error, 3 infeasible problem, 4 I/O
 error, 5 internal error.
@@ -120,6 +121,17 @@ def _load_energy_params(path: str | None) -> EnergyParams:
     )
 
 
+def _thread_count(raw: str) -> int:
+    """--threads value: an integer >= 1, else an argparse error naming the flag."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
+    return value
+
+
 def _trial_options(args) -> TrialOptions:
     return TrialOptions(
         memory_size_hms=args.hms,
@@ -187,7 +199,7 @@ def cmd_run(args) -> int:
     options = _trial_options(args)
     out = Path(args.out)
 
-    reports = _run_many(spec, args.algo, seeds, options, args.threads)
+    reports = _run_many(spec, args.algo, seeds, options)
     slug = _slug(spec.name)
     for (algo, seed), report in reports.items():
         stem = f"trial_{slug}_{algo}_seed{seed}"
@@ -232,7 +244,7 @@ def cmd_compare(args) -> int:
     win_lines = ["scenario,algorithm_a,algorithm_b,win_rate"]
     for spec in specs:
         seeds = resolve_seeds(args.seeds, _env_seed(spec.seed))
-        table = compare_algorithms(spec, args.algo, seeds, options, workers=args.threads)
+        table = compare_algorithms(spec, args.algo, seeds, options)
         for row in table.rows:
             comparison_lines.append(
                 ",".join(
@@ -339,7 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--exercises", type=int, help="fixed exercises per datum")
         p.add_argument("--budget", type=int, help="fixed evaluation budget per datum")
         p.add_argument("--energy-params", help="JSON file with e_uplink/e_intercloud/e_write")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument(
+            "--threads", type=_thread_count, default=1,
+            help="accepted and validated (>= 1); trials run serially",
+        )
 
     p_gen = sub.add_parser("generate", help="write topology and workload files")
     p_gen.add_argument("--scenario", required=True, help="builtin:1..4 or a spec JSON path")

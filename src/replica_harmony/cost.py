@@ -65,8 +65,8 @@ class CostModel:
     adds the R/1000 and W/1000 terms, computed once, left to right as the
     formula above does, so results are bit-identical to a naive evaluation.
     The cloud-to-cloud table is built up front; a gateway's entry and read
-    rows are built on first use (two threads that fill one row build equal
-    tuples). Ids are range-checked before any row is built.
+    rows are built on first use. Ids are range-checked before any row is
+    built.
     """
 
     def __init__(self, t: Topology):

@@ -23,8 +23,6 @@ import io
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from statistics import pstdev
 
@@ -327,34 +325,24 @@ def run_grid(
     algorithms,
     seeds,
     options: TrialOptions = TrialOptions(),
-    workers: int = 1,
 ) -> dict[tuple[str, int], RunReport]:
     """Every (algorithm, seed) trial, keyed algorithm-major in argument order.
 
     Seed by seed, every algorithm runs on that seed's one Experiment.
-    Trials share no mutable state, so the reports do not depend on workers.
     """
-    if workers < 1:
-        raise ValueError(f"workers (--threads) must be >= 1, got {workers}")
     algorithms = list(algorithms)
     seeds = list(seeds)
     reports = {}
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for seed in seeds:
-            reports.update(_run_seed(spec, algorithms, seed, options, pool))
+    for seed in seeds:
+        reports.update(_run_seed(spec, algorithms, seed, options))
     return {(algo, seed): reports[(algo, seed)] for algo in algorithms for seed in seeds}
 
 
-def _run_seed(spec, algorithms, seed, options, pool) -> dict[tuple[str, int], RunReport]:
+def _run_seed(spec, algorithms, seed, options) -> dict[tuple[str, int], RunReport]:
     # The experiment lives only in this frame, so the next seed's is built
     # after this one has been freed.
     experiment = build_experiment(spec, seed, options)
-
-    def trial(algo):
-        return run_trial(spec, algo, seed, options, experiment)
-
-    results = pool.map(trial, algorithms) if pool is not None else map(trial, algorithms)
-    return dict(zip(((algo, seed) for algo in algorithms), results))
+    return {(algo, seed): run_trial(spec, algo, seed, options, experiment) for algo in algorithms}
 
 
 def win_rate(a_by_seed, b_by_seed) -> tuple[float, int]:
@@ -396,7 +384,6 @@ def compare_algorithms(
     algorithms,
     seeds,
     options: TrialOptions = TrialOptions(),
-    workers: int = 1,
 ) -> ComparisonTable:
     algorithms = list(algorithms)
     seeds = list(seeds)
@@ -405,7 +392,7 @@ def compare_algorithms(
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds {seeds} repeat a seed")
 
-    reports = run_grid(spec, algorithms, seeds, options, workers)
+    reports = run_grid(spec, algorithms, seeds, options)
     by_seed = {algo: {seed: reports[(algo, seed)] for seed in seeds} for algo in algorithms}
     return ComparisonTable(
         scenario=spec.name,
@@ -419,41 +406,6 @@ def compare_algorithms(
         },
         reports=reports,
     )
-
-
-@dataclass(frozen=True)
-class MetricStats:
-    mean: float
-    std: float
-    min: float
-    max: float
-
-
-def summarize(reports) -> dict[str, MetricStats]:
-    """Aggregate totals across reports; validates shape and internal consistency."""
-    reports = list(reports)
-    if not reports:
-        raise EmptyInput("no reports to summarize")
-    scenario = reports[0].scenario
-    steps = len(reports[0].series)
-    for r in reports:
-        if r.scenario != scenario or len(r.series) != steps:
-            raise ShapeMismatch(
-                f"report ({r.scenario}, {len(r.series)} steps) does not match "
-                f"({scenario}, {steps} steps)"
-            )
-        check_totals(r.series, r.totals)
-
-    out = {}
-    for name in TOTALS_FIELDS:
-        values = [float(getattr(r.totals, name)) for r in reports]
-        out[name] = MetricStats(
-            mean=sum(values) / len(values),
-            std=pstdev(values),
-            min=min(values),
-            max=max(values),
-        )
-    return out
 
 
 # --- serialization -----------------------------------------------------------

@@ -253,6 +253,7 @@ def topology_to_dict(t: Topology) -> dict:
 
 
 def topology_from_dict(doc: dict) -> Topology:
+    """The topology a document describes; ValueError lists its violations."""
     gateways = tuple(
         Gateway(
             id=int(g["id"]),
@@ -276,7 +277,11 @@ def topology_from_dict(doc: dict) -> Topology:
         gw_to_cloud=doc["links"]["gw_to_cloud"],
         cloud_to_cloud=doc["links"]["cloud_to_cloud"],
     )
-    return Topology(gateways=gateways, clouds=clouds, links=links)
+    topology = Topology(gateways=gateways, clouds=clouds, links=links)
+    problems = validate_topology(topology)
+    if problems:
+        raise ValueError("invalid topology: " + "; ".join(problems))
+    return topology
 
 
 def topology_to_json(t: Topology) -> str:

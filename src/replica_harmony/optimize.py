@@ -270,9 +270,9 @@ def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
     r = problem.replica_count
     feasible = problem.feasible_clouds
 
-    # a budget of 1 buys one random vector and no generation
+    # a budget of 1 buys one random vector and no generation; the last
+    # generation is cut short where the budget runs out
     pop_size = max(1, min(GA_POPULATION, params.budget))
-    generations = max(0, (params.budget - pop_size) // (pop_size - 1)) if pop_size > 1 else 0
 
     population = sorted(
         (_evaluated(problem, random_allocation(problem, rng)) for _ in range(pop_size)),
@@ -282,9 +282,9 @@ def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
     best = population[0]
     trace = [best.cost]
 
-    for _ in range(generations):
+    while evaluations < params.budget:
         next_gen = [best]  # elite carried over, not re-evaluated
-        while len(next_gen) < pop_size:
+        while len(next_gen) < pop_size and evaluations < params.budget:
             p1 = _tournament(population, rng)
             p2 = _tournament(population, rng)
             if r >= 2 and rng.random() < GA_CROSSOVER_RATE:

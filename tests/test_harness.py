@@ -23,7 +23,6 @@ from replica_harmony.harness import (
     run_grid,
     run_trial,
     run_trial_detailed,
-    summarize,
     totals_to_dict,
     win_rate,
 )
@@ -144,15 +143,8 @@ def test_compare_duplicate_algorithm_entries_match():
     assert table.rows[0] == table.rows[1]
 
 
-def test_compare_workers_do_not_change_results():
-    spec = small_spec(timesteps=15)
-    serial = compare_algorithms(spec, ["hs", "random"], [0, 1, 2], workers=1)
-    threaded = compare_algorithms(spec, ["hs", "random"], [0, 1, 2], workers=8)
-    assert serial == threaded
-
-
 def test_run_grid_keys_are_algorithm_major():
-    grid = run_grid(small_spec(timesteps=5), ["random", "hs"], [3, 1], workers=2)
+    grid = run_grid(small_spec(timesteps=5), ["random", "hs"], [3, 1])
     assert list(grid) == [("random", 3), ("random", 1), ("hs", 3), ("hs", 1)]
     assert grid[("hs", 1)] == run_trial(small_spec(timesteps=5), "hs", 1)
 
@@ -180,8 +172,9 @@ def test_shared_experiment_needs_exercise_counts():
         run_trial(small_spec(timesteps=3), "hs", 1, TrialOptions(), experiment)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_grid_builds_one_experiment_per_seed(monkeypatch, workers):
+# seeds 0, stride, 2 * stride: stride 2 leaves gaps in the seed list
+@pytest.mark.parametrize("stride", [1, 2])
+def test_run_grid_builds_one_experiment_per_seed(monkeypatch, stride):
     calls = []
     original = harness.generate_topology
 
@@ -190,12 +183,12 @@ def test_run_grid_builds_one_experiment_per_seed(monkeypatch, workers):
         return original(spec, rng)
 
     monkeypatch.setattr(harness, "generate_topology", counting)
-    run_grid(small_spec(timesteps=5), ["hs", "random", "ga", "foa"], [0, 1, 2], workers=workers)
+    run_grid(small_spec(timesteps=5), ["hs", "random", "ga", "foa"], [0, stride, 2 * stride])
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_grid_frees_each_experiment_before_the_next(monkeypatch, workers):
+@pytest.mark.parametrize("stride", [1, 2])
+def test_run_grid_frees_each_experiment_before_the_next(monkeypatch, stride):
     previous = []
     original = harness.build_experiment
 
@@ -207,7 +200,7 @@ def test_run_grid_frees_each_experiment_before_the_next(monkeypatch, workers):
         return experiment
 
     monkeypatch.setattr(harness, "build_experiment", tracked)
-    run_grid(small_spec(timesteps=5), ["hs", "random"], [0, 1, 2], workers=workers)
+    run_grid(small_spec(timesteps=5), ["hs", "random"], [0, stride, 2 * stride])
     assert len(previous) == 3
 
 
@@ -238,34 +231,13 @@ def test_compare_rejects_empty_inputs():
         compare_algorithms(small_spec(), ["hs", "random"], [1, 2, 1])
 
 
-def test_summarize_single_and_identical_reports():
-    report = run_trial(small_spec(), "hs", 9)
-    stats = summarize([report])
-    assert stats["mean_cost_s"].mean == report.totals.mean_cost_s
-    assert stats["mean_cost_s"].std == 0.0
-    both = summarize([report, run_trial(small_spec(), "hs", 9)])
-    assert both["mean_cost_s"].std == 0.0
-    assert both["placed"].min == both["placed"].max == report.totals.placed
-
-
-def test_summarize_errors():
-    with pytest.raises(EmptyInput):
-        summarize([])
-    a = run_trial(small_spec(), "hs", 1)
-    b = run_trial(small_spec(timesteps=10, name="other"), "hs", 1)
-    with pytest.raises(ShapeMismatch):
-        summarize([a, b])
-
-
-def test_summarize_rejects_tampered_totals():
+def test_check_totals_rejects_tampered_totals():
     report = run_trial(small_spec(), "hs", 2)
+    check_totals(report.series, report.totals)
     cost = report.totals.mean_cost_s
     for tampered in (cost + 1.0, cost * (1 + 1e-10)):
-        doctored = dataclasses.replace(
-            report, totals=dataclasses.replace(report.totals, mean_cost_s=tampered)
-        )
         with pytest.raises(ShapeMismatch):
-            summarize([doctored])
+            check_totals(report.series, dataclasses.replace(report.totals, mean_cost_s=tampered))
     placed = dataclasses.replace(report.totals, placed=report.totals.placed + 1)
     with pytest.raises(ShapeMismatch):
         check_totals(report.series, placed)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from replica_harmony.model import (
     topology_to_json,
     validate_topology,
 )
+from replica_harmony.scenario import builtin_scenario, generate_topology
 
 from conftest import make_topology
 
@@ -130,3 +132,17 @@ def test_topology_json_used_capacity_defaults_to_zero(example_topology):
 def test_topology_json_bytes_are_stable(example_topology):
     assert topology_to_json(example_topology) == topology_to_json(example_topology)
     assert topology_to_json(example_topology).endswith("\n")
+
+
+def test_topology_json_rejects_invalid_documents():
+    topology = generate_topology(builtin_scenario(1), random.Random(0))
+    doc = json.loads(topology_to_json(topology))
+    doc["clouds"][0]["total_capacity_bytes"] = -5
+    doc["clouds"][1]["id"] = 7
+    doc["links"]["gw_to_cloud"][0][2] = 0
+    with pytest.raises(ValueError) as err:
+        topology_from_json(json.dumps(doc))
+    text = str(err.value)
+    assert "non-positive total capacity at cloud c0" in text
+    assert "cloud at position 1 has id 7" in text
+    assert "non-positive rate at (g0,c2)" in text

@@ -273,13 +273,16 @@ def test_ga_budget_and_trace():
     assert ga_optimize(problem, GAParams(seed=2, budget=560)) == result
 
 
-@pytest.mark.parametrize("budget", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 21, 30, 60, 240])
 def test_ga_and_foa_keep_small_budgets(budget):
     problem = make_problem(15)
     ga = ga_optimize(problem, GAParams(seed=4, budget=budget))
     foa = foa_optimize(problem, FOAParams(seed=4, budget=budget))
     assert 1 <= ga.evaluations <= budget
     assert 1 <= foa.evaluations <= budget
+    if budget > optimize.GA_POPULATION:
+        # the last generation is cut short, so GA spends its whole budget
+        assert ga.evaluations == budget
     assert ga.best_cost == problem.objective(ga.best)
 
 

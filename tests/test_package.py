@@ -1,0 +1,25 @@
+import ast
+import sys
+from pathlib import Path
+
+import replica_harmony
+
+PACKAGE_DIR = Path(replica_harmony.__file__).parent
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted(PACKAGE_DIR.glob("*.py"))
+    assert sources
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}:{node.lineno} imports {name}")
+    assert outside == []
