@@ -9,6 +9,7 @@ delay, and energy per timestep.
 from .cost import CostBreakdown, CostModel, EnergyParams, placement_energy, replication_cost
 from .errors import (
     CapacityExceeded,
+    ConfigError,
     EmptyInput,
     Infeasible,
     InvalidAllocation,

@@ -8,8 +8,9 @@ order of precedence; identical invocations produce identical bytes.
 Trials run serially; --threads is accepted and validated but changes
 nothing.
 
-Exit codes: 0 ok, 2 configuration error, 3 infeasible problem, 4 I/O
-error, 5 internal error.
+Exit codes: 0 ok, 2 configuration error (a ConfigError, nothing else),
+3 infeasible problem, 4 I/O error or a malformed file for report, 5
+internal error.
 """
 
 from __future__ import annotations
@@ -17,18 +18,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from pathlib import Path
 
 from .cost import EnergyParams
 from .errors import (
+    ConfigError,
     EmptyInput,
     Infeasible,
     MalformedInput,
     ReplicaHarmonyError,
     ShapeMismatch,
-    UnknownAlgorithm,
     UnknownScenario,
 )
 from .harness import (
@@ -38,6 +38,7 @@ from .harness import (
     TrialOptions,
     check_totals,
     compare_algorithms,
+    draw_scenario,
     report_from_csv,
     report_to_csv,
     summary_row,
@@ -47,14 +48,7 @@ from .harness import (
 # perfbench/tracing.py looks up cli._run_many by name
 from .harness import run_grid as _run_many
 from .model import topology_to_json, validate_topology
-from .scenario import (
-    ScenarioSpec,
-    builtin_scenario,
-    generate_topology,
-    generate_workload,
-    scenario_from_dict,
-)
-from .seeding import derive_seed
+from .scenario import ScenarioSpec, builtin_scenario, dataclass_from_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,15 +70,15 @@ def resolve_scenario(source: str) -> ScenarioSpec:
         except ValueError:
             raise UnknownScenario(f"bad builtin scenario {source!r}; valid: builtin:1..builtin:4")
         return builtin_scenario(k)
-    return scenario_from_dict(_load_json(source))
+    return _read_json(source, ScenarioSpec)
 
 
-def _load_json(path: str):
-    """The document in a JSON input file; a syntax error is a ValueError naming the file."""
+def _read_json(path: str, cls):
+    """The dataclass cls that a JSON input file holds; a ConfigError names the file."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        return dataclass_from_json(cls, json.loads(Path(path).read_text()))
+    except (ConfigError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _env_seed(default: int) -> int:
@@ -95,30 +89,22 @@ def _env_seed(default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def resolve_seeds(raw: str | None, base: int) -> list[int]:
     """A bare count N means seeds base..base+N-1; a comma list is explicit."""
     if raw is None:
         return [base]
-    if "," in raw:
-        return [int(part) for part in raw.split(",") if part.strip() != ""]
-    count = int(raw)
+    try:
+        if "," in raw:
+            return [int(part) for part in raw.split(",") if part.strip() != ""]
+        count = int(raw)
+    except ValueError:
+        raise ConfigError(f"--seeds must be a count or a comma list of integers, got {raw!r}") from None
     if count < 1:
-        raise ValueError("seed count must be >= 1")
+        raise ConfigError("seed count must be >= 1")
     return list(range(base, base + count))
-
-
-def _load_energy_params(path: str | None) -> EnergyParams:
-    if path is None:
-        return EnergyParams()
-    doc = _load_json(path)
-    return EnergyParams(
-        e_uplink=float(doc.get("e_uplink", EnergyParams.e_uplink)),
-        e_intercloud=float(doc.get("e_intercloud", EnergyParams.e_intercloud)),
-        e_write=float(doc.get("e_write", EnergyParams.e_write)),
-    )
 
 
 def _thread_count(raw: str) -> int:
@@ -137,7 +123,7 @@ def _trial_options(args) -> TrialOptions:
         memory_size_hms=args.hms,
         exercises=args.exercises,
         budget=args.budget,
-        energy=_load_energy_params(args.energy_params),
+        energy=_read_json(args.energy_params, EnergyParams) if args.energy_params else EnergyParams(),
     )
 
 
@@ -159,14 +145,11 @@ def cmd_generate(args) -> int:
     seed = args.seed if args.seed is not None else _env_seed(spec.seed)
     out = Path(args.out)
 
-    topology = generate_topology(spec, random.Random(derive_seed(seed, spec.name, "topology")))
+    topology, workload = draw_scenario(spec, seed)
     problems = validate_topology(topology)
     if problems:
         print("error: generated topology is invalid: " + "; ".join(problems), file=sys.stderr)
         return EXIT_INTERNAL
-    workload = generate_workload(
-        spec, topology, random.Random(derive_seed(seed, spec.name, "workload"))
-    )
 
     slug = _slug(spec.name)
     _write(out / f"topology_{slug}_seed{seed}.json", topology_to_json(topology))
@@ -281,7 +264,7 @@ def _stored_totals(path: Path) -> RunTotals:
     """The totals of a trial_*.json summary; MalformedInput names the file."""
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedInput(f"{path.name}: {exc}") from None
     totals = doc.get("totals") if isinstance(doc, dict) else None
     if not isinstance(totals, dict):
@@ -303,7 +286,12 @@ def cmd_report(args) -> int:
 
     by_scenario: dict[str, dict[str, list]] = {}
     for path in csv_paths:
-        report = report_from_csv(path.read_text())
+        # a bad header or no rows raise package errors, a short row IndexError,
+        # a cell that is not a number ValueError
+        try:
+            report = report_from_csv(path.read_text())
+        except (ReplicaHarmonyError, ValueError, IndexError) as exc:
+            raise MalformedInput(f"{path.name}: {exc!r}") from None
         summary_path = path.with_suffix(".json")
         if summary_path.exists():
             stored = _stored_totals(summary_path)
@@ -391,7 +379,7 @@ def main(argv=None) -> int:
         args.algo = list(args.default_algos)
     try:
         return args.func(args)
-    except (UnknownScenario, UnknownAlgorithm, EmptyInput, ValueError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Infeasible as exc:
@@ -400,7 +388,7 @@ def main(argv=None) -> int:
     except (OSError, MalformedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ShapeMismatch, ReplicaHarmonyError) as exc:
+    except ReplicaHarmonyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:

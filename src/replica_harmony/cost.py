@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import InvalidAllocation
+from .errors import ConfigError, InvalidAllocation
 from .model import AllocationVector, DataItem, Topology, check_allocation
 
 MS_PER_S = 1000.0
@@ -39,7 +39,7 @@ class EnergyParams:
 
     def __post_init__(self):
         if min(self.e_uplink, self.e_intercloud, self.e_write) < 0:
-            raise ValueError("energy coefficients must be >= 0")
+            raise ConfigError("energy coefficients must be >= 0")
 
 
 @dataclass(frozen=True)

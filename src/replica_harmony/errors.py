@@ -25,15 +25,19 @@ class SearchSpaceTooLarge(ReplicaHarmonyError):
     """Exhaustive enumeration would exceed the configured subset limit."""
 
 
-class UnknownScenario(ReplicaHarmonyError):
+class ConfigError(ReplicaHarmonyError, ValueError):
+    """Outside input (a scenario, option, seed or JSON file) is invalid: exit 2."""
+
+
+class UnknownScenario(ConfigError):
     """Scenario identifier does not name a built-in scenario."""
 
 
-class UnknownAlgorithm(ReplicaHarmonyError):
+class UnknownAlgorithm(ConfigError):
     """Algorithm name is not one of the supported optimizers."""
 
 
-class EmptyInput(ReplicaHarmonyError):
+class EmptyInput(ConfigError):
     """An aggregation was asked to summarize nothing."""
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from statistics import pstdev
 
 from .cost import CostModel, EnergyParams, placement_energy
-from .errors import CapacityExceeded, EmptyInput, Infeasible, ShapeMismatch, UnknownAlgorithm
+from .errors import CapacityExceeded, ConfigError, EmptyInput, Infeasible, ShapeMismatch, UnknownAlgorithm
 from .model import AllocationVector, DataItem, Topology, commit_placement
 from .optimize import (
     FOAParams,
@@ -127,11 +127,11 @@ class TrialOptions:
 
     def __post_init__(self):
         if self.memory_size_hms < 2:
-            raise ValueError("memory size (--hms) must be >= 2")
+            raise ConfigError("memory size (--hms) must be >= 2")
         if self.exercises is not None and self.exercises < 1:
-            raise ValueError("exercises must be >= 1")
+            raise ConfigError("exercises must be >= 1")
         if self.budget is not None and self.budget < 1:
-            raise ValueError("budget must be >= 1")
+            raise ConfigError("budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -150,14 +150,18 @@ class Experiment:
     requesters: tuple[int, ...]
 
 
+def draw_scenario(spec: ScenarioSpec, root_seed: int) -> tuple[Topology, tuple[DataItem, ...]]:
+    """The topology and workload that (spec, root_seed) names, each from its own stream."""
+    topology = generate_topology(spec, random.Random(derive_seed(root_seed, spec.name, "topology")))
+    rng = random.Random(derive_seed(root_seed, spec.name, "workload"))
+    return topology, tuple(generate_workload(spec, topology, rng))
+
+
 def build_experiment(
     spec: ScenarioSpec, root_seed: int, options: TrialOptions = TrialOptions()
 ) -> Experiment:
     """Draw the experiment; each datum's exercise and requester stream is its own."""
-    topology = generate_topology(spec, random.Random(derive_seed(root_seed, spec.name, "topology")))
-    workload = tuple(
-        generate_workload(spec, topology, random.Random(derive_seed(root_seed, spec.name, "workload")))
-    )
+    topology, workload = draw_scenario(spec, root_seed)
     model = CostModel(topology)
     exercises = None
     if options.exercises is None:
@@ -332,6 +336,10 @@ def run_grid(
     """
     algorithms = list(algorithms)
     seeds = list(seeds)
+    if not algorithms or not seeds:
+        raise EmptyInput("need at least one algorithm and one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds {seeds} repeat a seed")
     reports = {}
     for seed in seeds:
         reports.update(_run_seed(spec, algorithms, seed, options))
@@ -387,11 +395,6 @@ def compare_algorithms(
 ) -> ComparisonTable:
     algorithms = list(algorithms)
     seeds = list(seeds)
-    if not algorithms or not seeds:
-        raise EmptyInput("need at least one algorithm and one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"seeds {seeds} repeat a seed")
-
     reports = run_grid(spec, algorithms, seeds, options)
     by_seed = {algo: {seed: reports[(algo, seed)] for seed in seeds} for algo in algorithms}
     return ComparisonTable(

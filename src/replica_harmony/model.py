@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import CapacityExceeded, InvalidAllocation
+from .errors import CapacityExceeded, ConfigError, InvalidAllocation
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class Policy:
 
     def __post_init__(self):
         if not (1 <= self.min_replicas <= self.max_replicas):
-            raise ValueError(
+            raise ConfigError(
                 f"invalid policy: need 1 <= min <= max, got "
                 f"[{self.min_replicas}, {self.max_replicas}]"
             )

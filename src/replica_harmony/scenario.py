@@ -12,21 +12,19 @@ Generation draws in a pinned order (gateways, clouds, then link rows), so
 a spec plus a seed reproduces a topology bit-for-bit.
 """
 
-from __future__ import annotations
-
+# No `from __future__ import annotations` here: ScenarioSpec's field types
+# stay objects, so the JSON reader resolves them without compiling strings.
+import dataclasses
 import json
 import random
+import sys
+import typing
 from dataclasses import dataclass, field
 
-from .errors import Infeasible, UnknownScenario
+from .errors import ConfigError, Infeasible, UnknownScenario
 from .model import DataItem, Gateway, LinkMatrix, MiniCloud, Policy, Topology
 
 BUILTIN_SIZES = {1: (22, 8), 2: (25, 10), 3: (32, 15), 4: (40, 25)}
-
-
-def _pair(value) -> tuple:
-    a, b = value
-    return (a, b)
 
 
 @dataclass(frozen=True)
@@ -47,35 +45,25 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in (
-            "data_size_range_bytes",
-            "rw_delay_range_ms_per_byte",
-            "exercises_range",
-            "gw_rate_range_bytes_per_s",
-            "cloud_rate_range_bytes_per_s",
-            "capacity_range_bytes",
-            "waiting_time_range_s",
-        ):
-            lo, hi = _pair(getattr(self, name))
+        # rates are divided by and capacities must hold data, and a datum
+        # gets at least one exercise; sizes, delays and waits are amounts
+        positive = ("exercises_range", "gw_rate_range_bytes_per_s", "cloud_rate_range_bytes_per_s",
+                    "capacity_range_bytes")
+        for name in positive + ("data_size_range_bytes", "rw_delay_range_ms_per_byte", "waiting_time_range_s"):
+            lo, hi = getattr(self, name)
             object.__setattr__(self, name, (lo, hi))
             if lo > hi:
-                raise ValueError(f"{name} is empty: [{lo}, {hi}]")
-        # rates are divided by and capacities must hold data, so both are
-        # positive; sizes, delays and waits are non-negative amounts
-        for name in ("gw_rate_range_bytes_per_s", "cloud_rate_range_bytes_per_s", "capacity_range_bytes"):
-            if not getattr(self, name)[0] > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("data_size_range_bytes", "rw_delay_range_ms_per_byte", "waiting_time_range_s"):
-            if not getattr(self, name)[0] >= 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.exercises_range[0] < 1:
-            raise ValueError(f"exercises_range must start at >= 1, got {self.exercises_range}")
+                raise ConfigError(f"{name} is empty: [{lo}, {hi}]")
+            if name in positive and not lo > 0:
+                raise ConfigError(f"{name} must be positive, got [{lo}, {hi}]")
+            if not lo >= 0:
+                raise ConfigError(f"{name} must be non-negative, got [{lo}, {hi}]")
         if self.num_gateways < 1 or self.num_clouds < 1:
-            raise ValueError("scenario needs at least one gateway and one cloud")
+            raise ConfigError("scenario needs at least one gateway and one cloud")
         if self.timesteps < 1:
-            raise ValueError("timesteps must be >= 1")
+            raise ConfigError("timesteps must be >= 1")
         if not (0.0 <= self.arrival_probability <= 1.0):
-            raise ValueError("arrival probability must be in [0, 1]")
+            raise ConfigError("arrival probability must be in [0, 1]")
 
 
 def builtin_scenario(k: int) -> ScenarioSpec:
@@ -153,53 +141,60 @@ def generate_workload(spec: ScenarioSpec, topology: Topology, rng: random.Random
 
 # --- JSON (de)serialization ------------------------------------------------
 
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    return {
-        "name": spec.name,
-        "num_gateways": spec.num_gateways,
-        "num_clouds": spec.num_clouds,
-        "timesteps": spec.timesteps,
-        "data_size_range_bytes": list(spec.data_size_range_bytes),
-        "rw_delay_range_ms_per_byte": list(spec.rw_delay_range_ms_per_byte),
-        "exercises_range": list(spec.exercises_range),
-        "arrival_probability": spec.arrival_probability,
-        "gw_rate_range_bytes_per_s": list(spec.gw_rate_range_bytes_per_s),
-        "cloud_rate_range_bytes_per_s": list(spec.cloud_rate_range_bytes_per_s),
-        "capacity_range_bytes": list(spec.capacity_range_bytes),
-        "waiting_time_range_s": list(spec.waiting_time_range_s),
-        "policy": {
-            "min_replicas": spec.policy.min_replicas,
-            "max_replicas": spec.policy.max_replicas,
-        },
-        "seed": spec.seed,
-    }
+# what each non-dataclass field type accepts, for the error message
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
+# dataclass -> (field name -> resolved type, required field names), built on first use
+_FIELDS: dict[type, tuple[dict, set]] = {}
 
 
-def scenario_from_dict(doc: dict) -> ScenarioSpec:
-    defaults = ScenarioSpec(name="_", num_gateways=1, num_clouds=1)
+def dataclass_from_json(cls, doc, prefix: str = ""):
+    """An instance of the dataclass cls from a JSON object, checked key by key.
 
-    def get(key):
-        return doc.get(key, getattr(defaults, key))
+    Unknown keys, missing required keys, and values whose JSON type does
+    not fit the field are ConfigErrors naming the key: int fields take
+    integral numbers, float fields finite numbers, tuple fields lists of
+    that length, dataclass fields nested objects; a bool or a string is
+    never a number. Missing optional keys take the field defaults.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{prefix[:-1] or 'document'} must be a JSON object, got {doc!r:.60}")
+    if cls not in _FIELDS:
+        required = {f.name for f in dataclasses.fields(cls)
+                    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+        _FIELDS[cls] = (typing.get_type_hints(cls), required)
+    hints, required = _FIELDS[cls]
+    unknown = sorted(set(doc) - set(hints))
+    if unknown:
+        raise ConfigError(f"unknown key {prefix}{unknown[0]}; valid keys: {', '.join(hints)}")
+    missing = sorted(required - set(doc))
+    if missing:
+        raise ConfigError(f"missing required key {prefix}{missing[0]}")
+    return cls(**{name: _field_value(hints[name], value, prefix + name) for name, value in doc.items()})
 
-    policy = doc.get("policy")
-    return ScenarioSpec(
-        name=str(doc["name"]),
-        num_gateways=int(doc["num_gateways"]),
-        num_clouds=int(doc["num_clouds"]),
-        timesteps=int(get("timesteps")),
-        data_size_range_bytes=_pair(get("data_size_range_bytes")),
-        rw_delay_range_ms_per_byte=_pair(get("rw_delay_range_ms_per_byte")),
-        exercises_range=_pair(get("exercises_range")),
-        arrival_probability=float(get("arrival_probability")),
-        gw_rate_range_bytes_per_s=_pair(get("gw_rate_range_bytes_per_s")),
-        cloud_rate_range_bytes_per_s=_pair(get("cloud_rate_range_bytes_per_s")),
-        capacity_range_bytes=_pair(get("capacity_range_bytes")),
-        waiting_time_range_s=_pair(get("waiting_time_range_s")),
-        policy=Policy(int(policy["min_replicas"]), int(policy["max_replicas"]))
-        if policy
-        else defaults.policy,
-        seed=int(get("seed")),
-    )
+
+def _field_value(hint, value, key: str):
+    if dataclasses.is_dataclass(hint):
+        return dataclass_from_json(hint, value, key + ".")
+    if typing.get_origin(hint) is tuple:
+        items = typing.get_args(hint)
+        if not isinstance(value, list) or len(value) != len(items):
+            raise ConfigError(f"{key} must be a list of {len(items)} numbers, got {value!r:.60}")
+        return tuple(_field_value(item, v, key) for item, v in zip(items, value))
+    if hint is str and isinstance(value, str):
+        return value
+    if hint is int and (type(value) is int or type(value) is float and value.is_integer()):
+        return int(value)
+    # the bounds also reject NaN, infinities, and ints too large for a float
+    if hint is float and type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{key} must be {_EXPECTED[hint]}, got {value!r:.60}")
+
+
+scenario_to_dict = dataclasses.asdict
+
+
+def scenario_from_dict(doc) -> ScenarioSpec:
+    return dataclass_from_json(ScenarioSpec, doc)
 
 
 def scenario_to_json(spec: ScenarioSpec) -> str:

@@ -10,8 +10,8 @@ import pytest
 
 import replica_harmony
 from replica_harmony.cli import main, resolve_seeds
-from replica_harmony.harness import ALGORITHMS, compare_algorithms, run_trial
-from replica_harmony.model import topology_from_json, validate_topology
+from replica_harmony.harness import ALGORITHMS, build_experiment, compare_algorithms, run_trial
+from replica_harmony.model import topology_from_json, topology_to_json, validate_topology
 from replica_harmony.scenario import (
     ScenarioSpec,
     builtin_scenario,
@@ -218,6 +218,121 @@ def test_json_syntax_error_names_the_file(tmp_path, capsys, flag):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     assert str(bad_path) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _edited(doc, drop=(), **changes):
+    return {**{k: v for k, v in doc.items() if k not in drop}, **changes}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: _edited(d, drop=["name"]), "missing required key name"),
+        (lambda d: [d], "document must be a JSON object"),
+        (lambda d: _edited(d, policy={"min_replicas": 2}), "missing required key policy.max_replicas"),
+        (lambda d: _edited(d, policy={}), "missing required key policy.max_replicas"),
+        (lambda d: _edited(d, policy=[2, 4]), "policy must be a JSON object"),
+        (lambda d: _edited(d, policy={"min_replicas": 2, "max_replicas": 4, "max": 5}),
+         "unknown key policy.max;"),
+        (lambda d: _edited(d, data_size_range_bytes=5), "data_size_range_bytes must be a list of 2"),
+        (lambda d: _edited(d, data_size_range_bytes=[20, 5, 9]), "data_size_range_bytes must be a list of 2"),
+        (lambda d: _edited(d, data_size_range_bytes=[20.5, 100]), "data_size_range_bytes must be an integer"),
+        (lambda d: _edited(d, seed=None), "seed must be an integer"),
+        (lambda d: _edited(d, timestep=20), "unknown key timestep;"),
+        (lambda d: _edited(d, arival_probability=0.5), "unknown key arival_probability;"),
+        (lambda d: _edited(d, timesteps=2.7), "timesteps must be an integer"),
+        (lambda d: _edited(d, num_gateways=True), "num_gateways must be an integer"),
+        (lambda d: _edited(d, num_clouds="4"), "num_clouds must be an integer"),
+        (lambda d: _edited(d, name=3), "name must be a string"),
+        (lambda d: _edited(d, arrival_probability=float("nan")), "arrival_probability must be a finite"),
+        (lambda d: _edited(d, capacity_range_bytes=[1, float("inf")]), "capacity_range_bytes must be a finite"),
+    ],
+    ids=[
+        "no-name", "list", "policy-no-max", "policy-empty", "policy-list", "policy-unknown",
+        "scalar-range", "long-range", "fractional-range", "null-seed", "typo-timestep",
+        "typo-arrival", "fractional-timesteps", "bool-gateways", "string-clouds", "number-name",
+        "nan", "infinite",
+    ],
+)
+def test_malformed_spec_is_a_config_error(tmp_path, capsys, edit, message):
+    spec_path = tmp_path / "bad.json"
+    spec_path.write_text(json.dumps(edit(scenario_to_dict(write_tiny_scenario(spec_path)))))
+    for command in ("generate", "run"):
+        assert main([command, "--scenario", str(spec_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(spec_path) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1e-6, 5e-7, 2e-7], "document must be a JSON object"),
+        ({"e_uplnk": 5}, "unknown key e_uplnk;"),
+        ({"e_write": "x"}, "e_write must be a finite number"),
+    ],
+    ids=["list", "typo", "string"],
+)
+def test_malformed_energy_params_is_a_config_error(tmp_path, capsys, doc, message):
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    params_path = tmp_path / "energy.json"
+    params_path.write_text(json.dumps(doc))
+    argv = ["run", "--scenario", str(spec_path), "--energy-params", str(params_path),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and str(params_path) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_internal_value_error_exits_5(tmp_path, capsys, monkeypatch):
+    def broken(problem, params):
+        raise ValueError("not the user's fault")
+
+    monkeypatch.setattr(replica_harmony.harness, "hs_optimize", broken)
+    assert main(["run", "--scenario", "builtin:1", "--algo", "hs", "--out", str(tmp_path / "out")]) == 5
+    assert "not the user's fault" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_repeated_seeds_are_a_config_error(tmp_path, capsys, command):
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    argv = [command, "--scenario", str(spec_path), "--algo", "hs", "--algo", "random",
+            "--seeds", "3,3", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "repeat" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seeds", ["x", "1,two", "2.5", ","])
+def test_unreadable_seed_list_is_a_config_error(tmp_path, seeds):
+    argv = ["run", "--scenario", "builtin:1", "--seeds", seeds, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_integer_env_seed_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("REPLICA_HARMONY_SEED", "seven")
+    assert main(["run", "--scenario", "builtin:1", "--out", str(tmp_path / "out")]) == 2
+    assert "REPLICA_HARMONY_SEED" in capsys.readouterr().err
+
+
+def test_generate_writes_the_experiment_run_simulates(tmp_path, monkeypatch):
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    spec_path = tmp_path / "tiny.json"
+    spec = write_tiny_scenario(spec_path, seed=7)
+    assert main(["generate", "--scenario", str(spec_path), "--out", str(tmp_path / "gen")]) == 0
+    experiment = build_experiment(spec, 7)
+    topology_text = (tmp_path / "gen" / "topology_tiny_seed7.json").read_text()
+    assert topology_text == topology_to_json(experiment.topology)
+    items = json.loads((tmp_path / "gen" / "workload_tiny_seed7.json").read_text())["items"]
+    assert items and items == [
+        {"id": d.id, "size_bytes": d.size, "source_gateway": d.source_gateway,
+         "replica_count": d.replica_count, "arrival_timestep": d.arrival_timestep}
+        for d in experiment.workload
+    ]
 
 
 # SHA-256 of the files `run --algo exhaustive` wrote for this command before
@@ -453,6 +568,33 @@ def test_report_rejects_malformed_summary(tmp_path, capsys, tamper):
     summary_path.write_text(json.dumps(doc))
     assert main(["report", str(out)]) == 4
     assert summary_path.name in capsys.readouterr().err
+
+
+def _short_row(text):
+    lines = text.splitlines()
+    return "\n".join(lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda text: text.replace("timestep,", "step,", 1),
+        _short_row,
+        lambda text: text.replace(",0\n", ",zero\n", 1),
+        lambda text: text.splitlines()[0] + "\n",
+    ],
+    ids=["header", "short-row", "non-number", "header-only"],
+)
+def test_report_rejects_malformed_trial_csv(tmp_path, capsys, tamper):
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    out = tmp_path / "runs"
+    assert main(["run", "--scenario", str(spec_path), "--algo", "hs", "--out", str(out)]) == 0
+    csv_path = next(out.glob("trial_*.csv"))
+    csv_path.write_text(tamper(csv_path.read_text()))
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 4
+    assert csv_path.name in capsys.readouterr().err
 
 
 def test_custom_energy_params_change_energy_only(tmp_path):

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from replica_harmony import harness
-from replica_harmony.errors import EmptyInput, ShapeMismatch, UnknownAlgorithm
+from replica_harmony.errors import ConfigError, EmptyInput, ShapeMismatch, UnknownAlgorithm
 from replica_harmony.harness import (
     ALGORITHMS,
     CSV_HEADER,
@@ -229,6 +229,17 @@ def test_compare_rejects_empty_inputs():
         compare_algorithms(small_spec(), ["hs"], [])
     with pytest.raises(ValueError):
         compare_algorithms(small_spec(), ["hs", "random"], [1, 2, 1])
+
+
+def test_run_grid_rejects_repeated_seeds_before_any_trial(monkeypatch):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "build_experiment", no_trials)
+    with pytest.raises(ConfigError, match="repeat"):
+        run_grid(small_spec(), ["hs"], [3, 1, 3])
+    with pytest.raises(EmptyInput):
+        run_grid(small_spec(), ["hs"], [])
 
 
 def test_check_totals_rejects_tampered_totals():

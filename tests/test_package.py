@@ -23,3 +23,17 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} imports {name}")
     assert outside == []
+
+
+def test_only_config_errors_exit_2():
+    # cli.main maps ConfigError to exit 2; a ValueError from anywhere else is
+    # an internal error, so the CLI boundary neither catches nor raises one
+    trees = {name: ast.parse((PACKAGE_DIR / name).read_text()) for name in ("cli.py", "scenario.py")}
+    main = next(node for node in ast.walk(trees["cli.py"])
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = [ast.unparse(handler.type) for handler in ast.walk(main)
+              if isinstance(handler, ast.ExceptHandler) and handler.type is not None]
+    assert caught and not any("ValueError" in text for text in caught)
+    raised = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and node.exc and "ValueError" in ast.unparse(node.exc)]
+    assert raised == []

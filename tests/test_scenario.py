@@ -1,14 +1,18 @@
+import hashlib
+import json
 import math
 import random
 
 import pytest
 
-from replica_harmony.errors import Infeasible, UnknownScenario
+from replica_harmony.errors import ConfigError, Infeasible, UnknownScenario
 from replica_harmony.model import Policy, validate_topology
+from replica_harmony.cost import EnergyParams
 from replica_harmony.scenario import (
     BUILTIN_SIZES,
     ScenarioSpec,
     builtin_scenario,
+    dataclass_from_json,
     generate_topology,
     generate_workload,
     scenario_from_json,
@@ -167,3 +171,58 @@ def test_scenario_json_defaults_for_missing_keys():
     assert spec.timesteps == 500
     assert spec.data_size_range_bytes == (20, 100)
     assert spec.policy == Policy(2, 4)
+
+
+def test_scenario_json_text_is_pinned():
+    # the text the hand-written codec wrote before dataclasses.asdict replaced it
+    spec = ScenarioSpec(name="c", num_gateways=3, num_clouds=5, timesteps=17,
+                        rw_delay_range_ms_per_byte=(30, 30), policy=Policy(1, 3), seed=99)
+    assert json.loads(scenario_to_json(spec)) == {
+        "name": "c", "num_gateways": 3, "num_clouds": 5, "timesteps": 17,
+        "data_size_range_bytes": [20, 100], "rw_delay_range_ms_per_byte": [30, 30],
+        "exercises_range": [5, 10], "arrival_probability": 0.1,
+        "gw_rate_range_bytes_per_s": [500.0, 5000.0], "cloud_rate_range_bytes_per_s": [500.0, 5000.0],
+        "capacity_range_bytes": [50000.0, 200000.0], "waiting_time_range_s": [0.1, 1.0],
+        "policy": {"max_replicas": 3, "min_replicas": 1}, "seed": 99,
+    }
+    assert hashlib.sha256(scenario_to_json(builtin_scenario(1)).encode()).hexdigest() == (
+        "23fec239983792a27557d9219e0c2501ca4281ec9e1668455bd09fff3818245a"
+    )
+
+
+def test_reader_converts_numbers_to_the_field_types():
+    spec = scenario_from_json(
+        '{"name": "n", "num_gateways": 2.0, "num_clouds": 3, "arrival_probability": 1,'
+        ' "capacity_range_bytes": [100, 200], "policy": {"min_replicas": 1, "max_replicas": 2.0}}'
+    )
+    assert type(spec.num_gateways) is int and spec.num_gateways == 2
+    assert type(spec.arrival_probability) is float and spec.arrival_probability == 1.0
+    assert spec.capacity_range_bytes == (100.0, 200.0)
+    assert all(type(v) is float for v in spec.capacity_range_bytes)
+    assert spec.policy == Policy(1, 2) and type(spec.policy.max_replicas) is int
+    assert dataclass_from_json(EnergyParams, {"e_write": 0}) == EnergyParams(e_write=0.0)
+
+
+BARE = {"name": "n", "num_gateways": 2, "num_clouds": 3}
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"name": "n", "num_gateways": 2}, "num_clouds"),
+        ({**BARE, "seeds": 1}, "seeds"),
+        ({**BARE, "num_clouds": False}, "num_clouds"),
+        ({**BARE, "policy": {"min_replicas": "1", "max_replicas": 2}}, "policy.min_replicas"),
+        ({**BARE, "waiting_time_range_s": [0.1]}, "waiting_time_range_s"),
+    ],
+)
+def test_reader_rejects_with_the_key_named(doc, key):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        scenario_from_json(json.dumps(doc))
+
+
+def test_config_error_is_a_value_error():
+    # library callers that catch ValueError keep working
+    with pytest.raises(ValueError):
+        scenario_from_json("[]")
+    assert issubclass(UnknownScenario, ConfigError)
