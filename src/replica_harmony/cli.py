@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from .cost import EnergyParams
@@ -33,21 +34,22 @@ from .errors import (
 )
 from .harness import (
     ALGORITHMS,
-    TOTALS_FIELDS,
-    RunTotals,
+    ComparisonRow,
     TrialOptions,
     check_totals,
     compare_algorithms,
+    csv_text,
     draw_scenario,
     report_from_csv,
     report_to_csv,
     summary_row,
+    totals_from_json,
     totals_to_dict,
     win_rate,
 )
 # perfbench/tracing.py looks up cli._run_many by name
 from .harness import run_grid as _run_many
-from .model import topology_to_json, validate_topology
+from .model import json_text, topology_to_json, validate_topology
 from .scenario import ScenarioSpec, builtin_scenario, dataclass_from_json
 
 EXIT_OK = 0
@@ -136,10 +138,6 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, newline="\n")
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def cmd_generate(args) -> int:
     spec = resolve_scenario(args.scenario)
     seed = args.seed if args.seed is not None else _env_seed(spec.seed)
@@ -155,7 +153,7 @@ def cmd_generate(args) -> int:
     _write(out / f"topology_{slug}_seed{seed}.json", topology_to_json(topology))
     _write(
         out / f"workload_{slug}_seed{seed}.json",
-        _json_text(
+        json_text(
             {
                 "scenario": spec.name,
                 "seed": seed,
@@ -187,18 +185,18 @@ def cmd_run(args) -> int:
     for (algo, seed), report in reports.items():
         stem = f"trial_{slug}_{algo}_seed{seed}"
         _write(out / f"{stem}.csv", report_to_csv(report))
-        _write(out / f"{stem}.json", _json_text(totals_to_dict(report)))
+        _write(out / f"{stem}.json", json_text(totals_to_dict(report)))
     print(f"wrote {2 * len(reports)} files to {out}")
     return EXIT_OK
 
 
 def _plot_csv(reports, algorithms, seeds, metric) -> str:
     """Per-timestep curve per algorithm, averaged over seeds; energy cumulative."""
-    lines = ["timestep," + ",".join(algorithms)]
+    rows = []
     timesteps = len(next(iter(reports.values())).series)
     running = {algo: 0.0 for algo in algorithms}
     for i in range(timesteps):
-        cells = [str(i + 1)]
+        cells = [i + 1]
         for algo in algorithms:
             if metric == "cost":
                 value = sum(reports[(algo, s)].series[i].mean_cost_s for s in seeds) / len(seeds)
@@ -207,75 +205,39 @@ def _plot_csv(reports, algorithms, seeds, metric) -> str:
             else:
                 running[algo] += sum(reports[(algo, s)].series[i].energy_j for s in seeds) / len(seeds)
                 value = running[algo]
-            cells.append(repr(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            cells.append(value)
+        rows.append(cells)
+    return csv_text(("timestep", *algorithms), rows)
 
 
 def cmd_compare(args) -> int:
     if len(args.algo) < 2:
-        print("error: compare needs at least two --algo entries", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("compare needs at least two --algo entries")
     specs = [resolve_scenario(source) for source in args.scenario]
+    slugs = [_slug(spec.name) for spec in specs]
+    if len(set(slugs)) != len(slugs):
+        raise ConfigError(f"scenarios {[spec.name for spec in specs]} repeat a plot file name")
     options = _trial_options(args)
     out = Path(args.out)
 
-    comparison_lines = [
-        "scenario,algorithm,mean_cost_s,std_cost_s,mean_delay_s,std_delay_s,"
-        "mean_energy_j,std_energy_j,placed,failures"
-    ]
-    win_lines = ["scenario,algorithm_a,algorithm_b,win_rate"]
-    for spec in specs:
+    comparison_rows = []
+    win_rows = []
+    for spec, slug in zip(specs, slugs):
         seeds = resolve_seeds(args.seeds, _env_seed(spec.seed))
         table = compare_algorithms(spec, args.algo, seeds, options)
-        for row in table.rows:
-            comparison_lines.append(
-                ",".join(
-                    (
-                        spec.name,
-                        row.algorithm,
-                        repr(row.mean_cost_s),
-                        repr(row.std_cost_s),
-                        repr(row.mean_delay_s),
-                        repr(row.std_delay_s),
-                        repr(row.mean_energy_j),
-                        repr(row.std_energy_j),
-                        str(row.placed),
-                        str(row.failures),
-                    )
-                )
-            )
-        for (a, b), rate in sorted(table.win_rates.items()):
-            win_lines.append(f"{spec.name},{a},{b},{repr(rate)}")
-        slug = _slug(spec.name)
+        comparison_rows += [(spec.name, *astuple(row)) for row in table.rows]
+        win_rows += [(spec.name, a, b, rate) for (a, b), rate in sorted(table.win_rates.items())]
         for metric in PLOT_METRICS:
             _write(
                 out / f"plot_{slug}_{metric}.csv",
                 _plot_csv(table.reports, list(args.algo), seeds, metric),
             )
 
-    _write(out / "comparison.csv", "\n".join(comparison_lines) + "\n")
-    _write(out / "win_rates.csv", "\n".join(win_lines) + "\n")
+    header = ("scenario", *(f.name for f in fields(ComparisonRow)))
+    _write(out / "comparison.csv", csv_text(header, comparison_rows))
+    _write(out / "win_rates.csv", csv_text(("scenario", "algorithm_a", "algorithm_b", "win_rate"), win_rows))
     print(f"wrote comparison, win rates, and plot data to {out}")
     return EXIT_OK
-
-
-def _stored_totals(path: Path) -> RunTotals:
-    """The totals of a trial_*.json summary; MalformedInput names the file."""
-    try:
-        doc = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedInput(f"{path.name}: {exc}") from None
-    totals = doc.get("totals") if isinstance(doc, dict) else None
-    if not isinstance(totals, dict):
-        raise MalformedInput(f"{path.name}: no totals object")
-    if set(totals) != set(TOTALS_FIELDS):
-        raise MalformedInput(
-            f"{path.name}: totals keys {sorted(totals)} are not {sorted(TOTALS_FIELDS)}"
-        )
-    if not all(type(v) in (int, float) for v in totals.values()):
-        raise MalformedInput(f"{path.name}: totals values must be numbers")
-    return RunTotals(**totals)
 
 
 def cmd_report(args) -> int:
@@ -294,9 +256,10 @@ def cmd_report(args) -> int:
             raise MalformedInput(f"{path.name}: {exc!r}") from None
         summary_path = path.with_suffix(".json")
         if summary_path.exists():
-            stored = _stored_totals(summary_path)
             try:
-                check_totals(report.series, stored)
+                check_totals(report.series, totals_from_json(summary_path.read_text()))
+            except (MalformedInput, UnicodeDecodeError) as exc:
+                raise MalformedInput(f"{summary_path.name}: {exc}") from None
             except ShapeMismatch as exc:
                 raise ShapeMismatch(f"{summary_path.name}: {exc}") from None
         by_algo = by_scenario.setdefault(report.scenario, {})

@@ -20,14 +20,23 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from statistics import pstdev
 
 from .cost import CostModel, EnergyParams, placement_energy
-from .errors import CapacityExceeded, ConfigError, EmptyInput, Infeasible, ShapeMismatch, UnknownAlgorithm
+from .errors import (
+    CapacityExceeded,
+    ConfigError,
+    EmptyInput,
+    Infeasible,
+    MalformedInput,
+    ShapeMismatch,
+    UnknownAlgorithm,
+)
 from .model import AllocationVector, DataItem, Topology, commit_placement
 from .optimize import (
     FOAParams,
@@ -45,18 +54,6 @@ from .seeding import derive_seed
 
 ALGORITHMS = ("hs", "random", "ga", "foa", "exhaustive")
 
-CSV_HEADER = (
-    "timestep",
-    "scenario",
-    "algorithm",
-    "seed",
-    "mean_cost_s",
-    "mean_delay_s",
-    "energy_j",
-    "placed",
-    "failures",
-)
-
 
 @dataclass(frozen=True)
 class TimestepRecord:
@@ -68,8 +65,10 @@ class TimestepRecord:
     failures: int
 
 
-# the serialized RunTotals fields, in file order
-TOTALS_FIELDS = ("mean_cost_s", "mean_delay_s", "energy_j", "placed", "failures")
+# a trial CSV row: the timestep, the trial it belongs to, then the record
+CSV_HEADER = (
+    "timestep", "scenario", "algorithm", "seed", *(f.name for f in fields(TimestepRecord)[1:])
+)
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,10 @@ class RunTotals:
     # measured, not derived from the series; excluded from equality and
     # never serialized so outputs stay byte-identical across runs
     wall_clock_s: float = field(default=0.0, compare=False)
+
+
+# the serialized RunTotals fields, in file order
+TOTALS_FIELDS = tuple(f.name for f in fields(RunTotals) if f.compare)
 
 
 @dataclass(frozen=True)
@@ -139,14 +142,14 @@ class Experiment:
     """What (spec, root_seed) fixes for every algorithm.
 
     exercises and requesters hold one entry per datum, indexed by its
-    position in the workload; exercises is None when TrialOptions.exercises
-    fixes the count.
+    position in the workload; a trial uses TrialOptions.exercises in place
+    of the drawn count when that is set.
     """
 
     topology: Topology
     workload: tuple[DataItem, ...]
     model: CostModel = field(compare=False)  # a function of the topology
-    exercises: tuple[int, ...] | None
+    exercises: tuple[int, ...]
     requesters: tuple[int, ...]
 
 
@@ -157,20 +160,14 @@ def draw_scenario(spec: ScenarioSpec, root_seed: int) -> tuple[Topology, tuple[D
     return topology, tuple(generate_workload(spec, topology, rng))
 
 
-def build_experiment(
-    spec: ScenarioSpec, root_seed: int, options: TrialOptions = TrialOptions()
-) -> Experiment:
+def build_experiment(spec: ScenarioSpec, root_seed: int) -> Experiment:
     """Draw the experiment; each datum's exercise and requester stream is its own."""
     topology, workload = draw_scenario(spec, root_seed)
     model = CostModel(topology)
-    exercises = None
-    if options.exercises is None:
-        exercises = tuple(
-            random.Random(derive_seed(root_seed, spec.name, "exercises", d.id)).randint(
-                *spec.exercises_range
-            )
-            for d in workload
-        )
+    exercises = tuple(
+        random.Random(derive_seed(root_seed, spec.name, "exercises", d.id)).randint(*spec.exercises_range)
+        for d in workload
+    )
     requesters = tuple(
         random.Random(derive_seed(root_seed, spec.name, "requester", d.id)).randrange(
             topology.num_gateways
@@ -228,9 +225,7 @@ def run_trial_detailed(
         )
     started = time.perf_counter()
     if experiment is None:
-        experiment = build_experiment(spec, root_seed, options)
-    if options.exercises is None and experiment.exercises is None:
-        raise ValueError("the experiment holds no exercise counts; set TrialOptions.exercises")
+        experiment = build_experiment(spec, root_seed)
     model = experiment.model
     workload = experiment.workload
     current = experiment.topology
@@ -246,9 +241,7 @@ def run_trial_detailed(
         failures = 0
         while index < len(workload) and workload[index].arrival_timestep == timestep:
             datum = workload[index]
-            exercises = options.exercises
-            if exercises is None:
-                exercises = experiment.exercises[index]
+            exercises = experiment.exercises[index] if options.exercises is None else options.exercises
             requester = experiment.requesters[index]
             index += 1
             budget = options.budget
@@ -340,6 +333,8 @@ def run_grid(
         raise EmptyInput("need at least one algorithm and one seed")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds {seeds} repeat a seed")
+    if len(set(algorithms)) != len(algorithms):
+        raise ConfigError(f"algorithms {algorithms} repeat an algorithm")
     reports = {}
     for seed in seeds:
         reports.update(_run_seed(spec, algorithms, seed, options))
@@ -349,7 +344,7 @@ def run_grid(
 def _run_seed(spec, algorithms, seed, options) -> dict[tuple[str, int], RunReport]:
     # The experiment lives only in this frame, so the next seed's is built
     # after this one has been freed.
-    experiment = build_experiment(spec, seed, options)
+    experiment = build_experiment(spec, seed)
     return {(algo, seed): run_trial(spec, algo, seed, options, experiment) for algo in algorithms}
 
 
@@ -413,25 +408,21 @@ def compare_algorithms(
 
 # --- serialization -----------------------------------------------------------
 
-def report_to_csv(report: RunReport) -> str:
+def csv_text(header, rows) -> str:
+    """The CSV text of a header and rows; csv quotes any cell that needs it.
+
+    Floats are written by repr, so each value reads back exactly.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for rec in report.series:
-        writer.writerow(
-            (
-                rec.timestep,
-                report.scenario,
-                report.algorithm,
-                report.seed,
-                repr(rec.mean_cost_s),
-                repr(rec.mean_delay_s),
-                repr(rec.energy_j),
-                rec.placed,
-                rec.failures,
-            )
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def report_to_csv(report: RunReport) -> str:
+    trial = (report.scenario, report.algorithm, report.seed)
+    return csv_text(CSV_HEADER, ((rec.timestep, *trial, *astuple(rec)[1:]) for rec in report.series))
 
 
 def report_from_csv(text: str) -> RunReport:
@@ -445,16 +436,7 @@ def report_from_csv(text: str) -> RunReport:
     for row in rows[1:]:
         if (row[1], row[2], int(row[3])) != (scenario, algorithm, seed):
             raise ShapeMismatch("CSV mixes trials")
-        series.append(
-            TimestepRecord(
-                timestep=int(row[0]),
-                mean_cost_s=float(row[4]),
-                mean_delay_s=float(row[5]),
-                energy_j=float(row[6]),
-                placed=int(row[7]),
-                failures=int(row[8]),
-            )
-        )
+        series.append(TimestepRecord(int(row[0]), *map(float, row[4:7]), int(row[7]), int(row[8])))
     series = tuple(series)
     return RunReport(scenario, algorithm, seed, series, recompute_totals(series))
 
@@ -466,3 +448,19 @@ def totals_to_dict(report: RunReport) -> dict:
         "seed": report.seed,
         "totals": {name: getattr(report.totals, name) for name in TOTALS_FIELDS},
     }
+
+
+def totals_from_json(text: str) -> RunTotals:
+    """The totals of a trial JSON summary; MalformedInput says what is wrong."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(str(exc)) from None
+    totals = doc.get("totals") if isinstance(doc, dict) else None
+    if not isinstance(totals, dict):
+        raise MalformedInput("no totals object")
+    if set(totals) != set(TOTALS_FIELDS):
+        raise MalformedInput(f"totals keys {sorted(totals)} are not {sorted(TOTALS_FIELDS)}")
+    if not all(type(v) in (int, float) for v in totals.values()):
+        raise MalformedInput("totals values must be numbers")
+    return RunTotals(**totals)

@@ -284,9 +284,13 @@ def topology_from_dict(doc: dict) -> Topology:
     return topology
 
 
+def json_text(doc) -> str:
+    """Canonical JSON text (stable key order, trailing newline); every output file uses it."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def topology_to_json(t: Topology) -> str:
-    """Canonical JSON text (stable key order, trailing newline)."""
-    return json.dumps(topology_to_dict(t), indent=2, sort_keys=True) + "\n"
+    return json_text(topology_to_dict(t))
 
 
 def topology_from_json(text: str) -> Topology:

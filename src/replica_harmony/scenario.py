@@ -22,7 +22,7 @@ import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, Infeasible, UnknownScenario
-from .model import DataItem, Gateway, LinkMatrix, MiniCloud, Policy, Topology
+from .model import DataItem, Gateway, LinkMatrix, MiniCloud, Policy, Topology, json_text
 
 BUILTIN_SIZES = {1: (22, 8), 2: (25, 10), 3: (32, 15), 4: (40, 25)}
 
@@ -45,6 +45,9 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # the name becomes part of output file names and CSV cells
+        if not self.name.isprintable():
+            raise ConfigError(f"name must be printable, got {self.name!r:.60}")
         # rates are divided by and capacities must hold data, and a datum
         # gets at least one exercise; sizes, delays and waits are amounts
         positive = ("exercises_range", "gw_rate_range_bytes_per_s", "cloud_rate_range_bytes_per_s",
@@ -198,7 +201,7 @@ def scenario_from_dict(doc) -> ScenarioSpec:
 
 
 def scenario_to_json(spec: ScenarioSpec) -> str:
-    return json.dumps(scenario_to_dict(spec), indent=2, sort_keys=True) + "\n"
+    return json_text(scenario_to_dict(spec))
 
 
 def scenario_from_json(text: str) -> ScenarioSpec:

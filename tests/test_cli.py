@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import importlib.util
@@ -21,9 +22,9 @@ from replica_harmony.scenario import (
 )
 
 
-def write_tiny_scenario(path, **overrides):
+def write_tiny_scenario(path, name="tiny", **overrides):
     spec = ScenarioSpec(
-        name="tiny",
+        name=name,
         num_gateways=3,
         num_clouds=5,
         timesteps=12,
@@ -244,6 +245,8 @@ def _edited(doc, drop=(), **changes):
         (lambda d: _edited(d, num_gateways=True), "num_gateways must be an integer"),
         (lambda d: _edited(d, num_clouds="4"), "num_clouds must be an integer"),
         (lambda d: _edited(d, name=3), "name must be a string"),
+        (lambda d: _edited(d, name="lab\x00east"), "name must be printable"),
+        (lambda d: _edited(d, name="lab\neast"), "name must be printable"),
         (lambda d: _edited(d, arrival_probability=float("nan")), "arrival_probability must be a finite"),
         (lambda d: _edited(d, capacity_range_bytes=[1, float("inf")]), "capacity_range_bytes must be a finite"),
     ],
@@ -251,6 +254,7 @@ def _edited(doc, drop=(), **changes):
         "no-name", "list", "policy-no-max", "policy-empty", "policy-list", "policy-unknown",
         "scalar-range", "long-range", "fractional-range", "null-seed", "typo-timestep",
         "typo-arrival", "fractional-timesteps", "bool-gateways", "string-clouds", "number-name",
+        "nul-name", "newline-name",
         "nan", "infinite",
     ],
 )
@@ -301,6 +305,28 @@ def test_repeated_seeds_are_a_config_error(tmp_path, capsys, command):
     write_tiny_scenario(spec_path)
     argv = [command, "--scenario", str(spec_path), "--algo", "hs", "--algo", "random",
             "--seeds", "3,3", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "repeat" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_repeated_algorithm_is_a_config_error(tmp_path, capsys, command):
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    argv = [command, "--scenario", str(spec_path), "--algo", "hs", "--algo", "random",
+            "--algo", "hs", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "repeat" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_rejects_scenarios_that_share_a_file_name(tmp_path, capsys):
+    # "lab:1" and "lab/1" both write plot_lab-1_<metric>.csv
+    write_tiny_scenario(tmp_path / "colon.json", name="lab:1")
+    write_tiny_scenario(tmp_path / "slash.json", name="lab/1")
+    argv = ["compare", "--scenario", str(tmp_path / "colon.json"), "--scenario", str(tmp_path / "slash.json"),
+            "--algo", "hs", "--algo", "random", "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "repeat" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -464,6 +490,26 @@ def test_compare_emits_tables_and_plots(tmp_path):
     first = float(rows[1].split(",")[1])
     last = float(rows[-1].split(",")[1])
     assert last >= first
+
+
+def test_every_csv_quotes_a_scenario_name_that_needs_it(tmp_path, capsys):
+    name = 'lab,"east"'
+    spec_path = tmp_path / "lab.json"
+    write_tiny_scenario(spec_path, name=name)
+    algos = ["--algo", "hs", "--algo", "random", "--seeds", "2"]
+    assert main(["compare", "--scenario", str(spec_path), *algos, "--out", str(tmp_path / "cmp")]) == 0
+    assert main(["run", "--scenario", str(spec_path), *algos, "--out", str(tmp_path / "runs")]) == 0
+    paths = sorted((tmp_path / "cmp").glob("*.csv")) + sorted((tmp_path / "runs").glob("*.csv"))
+    assert len(paths) == 2 + 3 + 4  # comparison, win rates, plots; four trials
+    for path in paths:
+        with path.open(newline="") as f:
+            header, *rows = csv.reader(f)
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+        if "scenario" in header:
+            assert {row[header.index("scenario")] for row in rows} == {name}, path.name
+    capsys.readouterr()
+    assert main(["report", str(tmp_path / "runs")]) == 0
+    assert f"scenario {name} (4 trials)" in capsys.readouterr().out
 
 
 def test_compare_needs_two_algorithms(tmp_path, capsys):

@@ -138,11 +138,6 @@ def test_compare_single_cell_collapses_to_run_trial():
     assert table.win_rates == {}
 
 
-def test_compare_duplicate_algorithm_entries_match():
-    table = compare_algorithms(small_spec(timesteps=10), ["hs", "hs"], [0, 1])
-    assert table.rows[0] == table.rows[1]
-
-
 def test_run_grid_keys_are_algorithm_major():
     grid = run_grid(small_spec(timesteps=5), ["random", "hs"], [3, 1])
     assert list(grid) == [("random", 3), ("random", 1), ("hs", 3), ("hs", 1)]
@@ -153,9 +148,8 @@ def test_run_grid_keys_are_algorithm_major():
 def test_shared_experiment_gives_the_same_reports(options):
     # tight capacities so the failure path runs too
     spec = small_spec(timesteps=12, capacity_range_bytes=(300.0, 600.0))
-    experiment = build_experiment(spec, 6, options)
-    assert (experiment.exercises is None) == (options.exercises is not None)
-    assert len(experiment.requesters) == len(experiment.workload)
+    experiment = build_experiment(spec, 6)
+    assert len(experiment.exercises) == len(experiment.requesters) == len(experiment.workload)
     for algo in ALGORITHMS:
         shared = run_trial_detailed(spec, algo, 6, options, experiment)
         alone = run_trial_detailed(spec, algo, 6, options)
@@ -163,13 +157,7 @@ def test_shared_experiment_gives_the_same_reports(options):
         assert shared.placements == alone.placements
         assert shared.final_topology == alone.final_topology
     # trials never change the experiment they share
-    assert experiment == build_experiment(spec, 6, options)
-
-
-def test_shared_experiment_needs_exercise_counts():
-    experiment = build_experiment(small_spec(timesteps=3), 1, TrialOptions(exercises=3))
-    with pytest.raises(ValueError):
-        run_trial(small_spec(timesteps=3), "hs", 1, TrialOptions(), experiment)
+    assert experiment == build_experiment(spec, 6)
 
 
 # seeds 0, stride, 2 * stride: stride 2 leaves gaps in the seed list
@@ -192,10 +180,10 @@ def test_run_grid_frees_each_experiment_before_the_next(monkeypatch, stride):
     previous = []
     original = harness.build_experiment
 
-    def tracked(spec, seed, options):
+    def tracked(spec, seed):
         gc.collect()
         assert all(ref() is None for ref in previous), "the last seed's experiment is alive"
-        experiment = original(spec, seed, options)
+        experiment = original(spec, seed)
         previous.append(weakref.ref(experiment))
         return experiment
 
@@ -238,6 +226,8 @@ def test_run_grid_rejects_repeated_seeds_before_any_trial(monkeypatch):
     monkeypatch.setattr(harness, "build_experiment", no_trials)
     with pytest.raises(ConfigError, match="repeat"):
         run_grid(small_spec(), ["hs"], [3, 1, 3])
+    with pytest.raises(ConfigError, match="repeat"):
+        run_grid(small_spec(), ["hs", "random", "hs"], [3])
     with pytest.raises(EmptyInput):
         run_grid(small_spec(), ["hs"], [])
 

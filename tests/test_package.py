@@ -37,3 +37,27 @@ def test_only_config_errors_exit_2():
     raised = [f"{name}:{node.lineno}" for name, tree in trees.items() for node in ast.walk(tree)
               if isinstance(node, ast.Raise) and node.exc and "ValueError" in ast.unparse(node.exc)]
     assert raised == []
+
+
+def test_each_file_format_has_one_writer():
+    # every CSV goes through harness.csv_text and every JSON file through
+    # model.json_text, so quoting and number formatting are decided once
+    sites = {"csv.writer": [], "json.dumps": []}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        # ast.walk visits an outer function before the functions inside it,
+        # so each node ends up owned by its innermost function
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, f"{path.stem}.{func.name}") for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in sites:
+                sites[ast.unparse(node.func)].append(owner.get(node, f"{path.stem}:{node.lineno}"))
+    assert sites == {"csv.writer": ["harness.csv_text"], "json.dumps": ["model.json_text"]}
+
+    cli = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    joins = [node.lineno for node in ast.walk(cli)
+             if isinstance(node, ast.Attribute) and node.attr == "join"
+             and isinstance(node.value, ast.Constant) and node.value.value == ","]
+    assert joins == []
