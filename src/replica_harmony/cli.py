@@ -49,8 +49,8 @@ from .harness import (
 )
 # perfbench/tracing.py looks up cli._run_many by name
 from .harness import run_grid as _run_many
-from .model import json_text, topology_to_json, validate_topology
-from .scenario import ScenarioSpec, builtin_scenario, dataclass_from_json
+from .model import dataclass_from_json, json_doc, json_text, topology_to_json, validate_topology
+from .scenario import ScenarioSpec, builtin_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -153,22 +153,7 @@ def cmd_generate(args) -> int:
     _write(out / f"topology_{slug}_seed{seed}.json", topology_to_json(topology))
     _write(
         out / f"workload_{slug}_seed{seed}.json",
-        json_text(
-            {
-                "scenario": spec.name,
-                "seed": seed,
-                "items": [
-                    {
-                        "id": d.id,
-                        "size_bytes": d.size,
-                        "source_gateway": d.source_gateway,
-                        "replica_count": d.replica_count,
-                        "arrival_timestep": d.arrival_timestep,
-                    }
-                    for d in workload
-                ],
-            }
-        ),
+        json_text({"scenario": spec.name, "seed": seed, "items": json_doc(workload)}),
     )
     print(f"wrote topology and workload for {spec.name} (seed {seed}) to {out}")
     return EXIT_OK
@@ -220,19 +205,20 @@ def cmd_compare(args) -> int:
     options = _trial_options(args)
     out = Path(args.out)
 
+    # every scenario runs before any file is written, so a failing one leaves none
     comparison_rows = []
     win_rows = []
+    plots = {}
     for spec, slug in zip(specs, slugs):
         seeds = resolve_seeds(args.seeds, _env_seed(spec.seed))
         table = compare_algorithms(spec, args.algo, seeds, options)
         comparison_rows += [(spec.name, *astuple(row)) for row in table.rows]
         win_rows += [(spec.name, a, b, rate) for (a, b), rate in sorted(table.win_rates.items())]
         for metric in PLOT_METRICS:
-            _write(
-                out / f"plot_{slug}_{metric}.csv",
-                _plot_csv(table.reports, list(args.algo), seeds, metric),
-            )
+            plots[f"plot_{slug}_{metric}.csv"] = _plot_csv(table.reports, list(args.algo), seeds, metric)
 
+    for name, text in plots.items():
+        _write(out / name, text)
     header = ("scenario", *(f.name for f in fields(ComparisonRow)))
     _write(out / "comparison.csv", csv_text(header, comparison_rows))
     _write(out / "win_rates.csv", csv_text(("scenario", "algorithm_a", "algorithm_b", "win_rate"), win_rows))

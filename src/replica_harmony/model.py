@@ -1,4 +1,4 @@
-"""Domain types for the mini-cloud replication system.
+"""Domain types for the mini-cloud replication system, and the JSON codec.
 
 A topology is a set of gateways (IoT ingress points), a set of mini clouds
 (replica storage sites with capacity bookkeeping), and transfer-rate matrices
@@ -6,15 +6,28 @@ between them. Per-byte read/write delays are stored in milliseconds per byte,
 matching the JSON wire format exactly so that serialization round-trips are
 bit-lossless; the cost module converts to seconds where it evaluates delays.
 Waiting times are plain seconds, capacities bytes, transfer rates bytes/s.
+
+Every JSON file the package reads or writes goes through one codec:
+``dataclass_from_json`` reads a dataclass, checked key by key, and
+``json_doc`` plus ``json_text`` write one. A field's JSON key is its name
+unless its metadata declares another under "json": the keys of fields
+whose names lack their unit, such as the per-byte delays.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+import sys
+import typing
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import CapacityExceeded, ConfigError, InvalidAllocation
+
+
+# gateways and clouds share one JSON key for the per-byte read delay
+_READ_DELAY = {"json": "read_delay_ms_per_byte"}
 
 
 @dataclass(frozen=True)
@@ -22,7 +35,7 @@ class Gateway:
     """IoT ingress point with a per-byte read delay and a base waiting time."""
 
     id: int
-    read_delay_ms: float  # ms per byte
+    read_delay_ms: float = field(metadata=_READ_DELAY)
     waiting_time_s: float
 
 
@@ -31,11 +44,11 @@ class MiniCloud:
     """Replica storage site: per-byte write/read delays, waiting time, capacity."""
 
     id: int
-    write_delay_ms: float  # ms per byte
-    read_delay_ms: float  # ms per byte
+    write_delay_ms: float = field(metadata={"json": "write_delay_ms_per_byte"})
+    read_delay_ms: float = field(metadata=_READ_DELAY)
     waiting_time_s: float
-    total_capacity: float  # bytes
-    used_capacity: float = 0.0  # bytes
+    total_capacity: float = field(metadata={"json": "total_capacity_bytes"})
+    used_capacity: float = field(default=0.0, metadata={"json": "used_capacity_bytes"})
 
     @property
     def free_capacity(self) -> float:
@@ -69,7 +82,7 @@ class DataItem:
     """One IoT datum arriving at a gateway, to be replicated ``replica_count`` times."""
 
     id: int
-    size: float  # bytes
+    size: float = field(metadata={"json": "size_bytes"})
     source_gateway: int
     replica_count: int
     arrival_timestep: int = 0
@@ -216,72 +229,80 @@ def commit_placement(t: Topology, d: DataItem, a: AllocationVector) -> Topology:
 
 
 # --- JSON (de)serialization ------------------------------------------------
-#
-# Schema (all keys required unless noted):
-#   gateways: [{id, read_delay_ms_per_byte, waiting_time_s}]
-#   clouds:   [{id, write_delay_ms_per_byte, read_delay_ms_per_byte,
-#               waiting_time_s, total_capacity_bytes,
-#               used_capacity_bytes (optional, default 0)}]
-#   links:    {gw_to_cloud: [[bytes/s]], cloud_to_cloud: [[bytes/s]]}
 
-def topology_to_dict(t: Topology) -> dict:
-    return {
-        "gateways": [
-            {
-                "id": g.id,
-                "read_delay_ms_per_byte": g.read_delay_ms,
-                "waiting_time_s": g.waiting_time_s,
-            }
-            for g in t.gateways
-        ],
-        "clouds": [
-            {
-                "id": c.id,
-                "write_delay_ms_per_byte": c.write_delay_ms,
-                "read_delay_ms_per_byte": c.read_delay_ms,
-                "waiting_time_s": c.waiting_time_s,
-                "total_capacity_bytes": c.total_capacity,
-                "used_capacity_bytes": c.used_capacity,
-            }
-            for c in t.clouds
-        ],
-        "links": {
-            "gw_to_cloud": [list(row) for row in t.links.gw_to_cloud],
-            "cloud_to_cloud": [list(row) for row in t.links.cloud_to_cloud],
-        },
-    }
+# what each non-dataclass field type accepts, for the error message
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
+# dataclass -> (JSON key -> (field name, resolved type), required JSON keys), built on first use
+_FIELDS: dict[type, tuple[dict, set]] = {}
 
 
-def topology_from_dict(doc: dict) -> Topology:
-    """The topology a document describes; ValueError lists its violations."""
-    gateways = tuple(
-        Gateway(
-            id=int(g["id"]),
-            read_delay_ms=float(g["read_delay_ms_per_byte"]),
-            waiting_time_s=float(g["waiting_time_s"]),
-        )
-        for g in doc["gateways"]
-    )
-    clouds = tuple(
-        MiniCloud(
-            id=int(c["id"]),
-            write_delay_ms=float(c["write_delay_ms_per_byte"]),
-            read_delay_ms=float(c["read_delay_ms_per_byte"]),
-            waiting_time_s=float(c["waiting_time_s"]),
-            total_capacity=float(c["total_capacity_bytes"]),
-            used_capacity=float(c.get("used_capacity_bytes", 0.0)),
-        )
-        for c in doc["clouds"]
-    )
-    links = LinkMatrix(
-        gw_to_cloud=doc["links"]["gw_to_cloud"],
-        cloud_to_cloud=doc["links"]["cloud_to_cloud"],
-    )
-    topology = Topology(gateways=gateways, clouds=clouds, links=links)
-    problems = validate_topology(topology)
-    if problems:
-        raise ValueError("invalid topology: " + "; ".join(problems))
-    return topology
+def _json_key(f: dataclasses.Field) -> str:
+    return f.metadata.get("json", f.name)
+
+
+def dataclass_from_json(cls, doc, prefix: str = ""):
+    """An instance of the dataclass cls from a JSON object, checked key by key.
+
+    Unknown keys, missing required keys, and values whose JSON type does
+    not fit the field are ConfigErrors naming the key: int fields take
+    integral numbers, float fields finite numbers, tuple[X, X] fields lists
+    of that length, tuple[X, ...] fields lists of any length (elements named
+    by index, as in clouds[1].id), dataclass fields nested objects; a bool
+    or a string is never a number. Missing optional keys take the field
+    defaults.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{prefix[:-1] or 'document'} must be a JSON object, got {doc!r:.60}")
+    if cls not in _FIELDS:
+        hints = typing.get_type_hints(cls)
+        fields = dataclasses.fields(cls)
+        required = {_json_key(f) for f in fields
+                    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+        _FIELDS[cls] = ({_json_key(f): (f.name, hints[f.name]) for f in fields}, required)
+    keys, required = _FIELDS[cls]
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown key {prefix}{unknown[0]}; valid keys: {', '.join(keys)}")
+    missing = sorted(required - set(doc))
+    if missing:
+        raise ConfigError(f"missing required key {prefix}{missing[0]}")
+    values = {}
+    for key, value in doc.items():
+        name, hint = keys[key]
+        values[name] = _field_value(hint, value, prefix + key)
+    return cls(**values)
+
+
+def _field_value(hint, value, key: str):
+    if dataclasses.is_dataclass(hint):
+        return dataclass_from_json(hint, value, key + ".")
+    if typing.get_origin(hint) is tuple:
+        items = typing.get_args(hint)
+        if items[-1] is Ellipsis:
+            if not isinstance(value, list):
+                raise ConfigError(f"{key} must be a list, got {value!r:.60}")
+            return tuple(_field_value(items[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+        if not isinstance(value, list) or len(value) != len(items):
+            raise ConfigError(f"{key} must be a list of {len(items)} numbers, got {value!r:.60}")
+        return tuple(_field_value(item, v, key) for item, v in zip(items, value))
+    if hint is str and isinstance(value, str):
+        return value
+    if hint is int and (type(value) is int or type(value) is float and value.is_integer()):
+        return int(value)
+    # the bounds also reject NaN, infinities, and ints too large for a float
+    if hint is float and type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{key} must be {_EXPECTED[hint]}, got {value!r:.60}")
+
+
+def json_doc(value):
+    """The JSON form of value: a dataclass as an object under its fields'
+    JSON keys, a tuple or list as a list, anything else as it is."""
+    if dataclasses.is_dataclass(value):
+        return {_json_key(f): json_doc(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [json_doc(v) for v in value]
+    return value
 
 
 def json_text(doc) -> str:
@@ -290,8 +311,13 @@ def json_text(doc) -> str:
 
 
 def topology_to_json(t: Topology) -> str:
-    return json_text(topology_to_dict(t))
+    return json_text(json_doc(t))
 
 
 def topology_from_json(text: str) -> Topology:
-    return topology_from_dict(json.loads(text))
+    """The topology a JSON text describes; a ConfigError names a bad key or lists the violations."""
+    topology = dataclass_from_json(Topology, json.loads(text))
+    problems = validate_topology(topology)
+    if problems:
+        raise ConfigError("invalid topology: " + "; ".join(problems))
+    return topology

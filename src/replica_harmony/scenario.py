@@ -14,15 +14,13 @@ a spec plus a seed reproduces a topology bit-for-bit.
 
 # No `from __future__ import annotations` here: ScenarioSpec's field types
 # stay objects, so the JSON reader resolves them without compiling strings.
-import dataclasses
 import json
 import random
-import sys
-import typing
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, Infeasible, UnknownScenario
-from .model import DataItem, Gateway, LinkMatrix, MiniCloud, Policy, Topology, json_text
+from .model import DataItem, Gateway, LinkMatrix, MiniCloud, Policy, Topology
+from .model import dataclass_from_json, json_doc, json_text
 
 BUILTIN_SIZES = {1: (22, 8), 2: (25, 10), 3: (32, 15), 4: (40, 25)}
 
@@ -144,65 +142,9 @@ def generate_workload(spec: ScenarioSpec, topology: Topology, rng: random.Random
 
 # --- JSON (de)serialization ------------------------------------------------
 
-# what each non-dataclass field type accepts, for the error message
-_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
-# dataclass -> (field name -> resolved type, required field names), built on first use
-_FIELDS: dict[type, tuple[dict, set]] = {}
-
-
-def dataclass_from_json(cls, doc, prefix: str = ""):
-    """An instance of the dataclass cls from a JSON object, checked key by key.
-
-    Unknown keys, missing required keys, and values whose JSON type does
-    not fit the field are ConfigErrors naming the key: int fields take
-    integral numbers, float fields finite numbers, tuple fields lists of
-    that length, dataclass fields nested objects; a bool or a string is
-    never a number. Missing optional keys take the field defaults.
-    """
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{prefix[:-1] or 'document'} must be a JSON object, got {doc!r:.60}")
-    if cls not in _FIELDS:
-        required = {f.name for f in dataclasses.fields(cls)
-                    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
-        _FIELDS[cls] = (typing.get_type_hints(cls), required)
-    hints, required = _FIELDS[cls]
-    unknown = sorted(set(doc) - set(hints))
-    if unknown:
-        raise ConfigError(f"unknown key {prefix}{unknown[0]}; valid keys: {', '.join(hints)}")
-    missing = sorted(required - set(doc))
-    if missing:
-        raise ConfigError(f"missing required key {prefix}{missing[0]}")
-    return cls(**{name: _field_value(hints[name], value, prefix + name) for name, value in doc.items()})
-
-
-def _field_value(hint, value, key: str):
-    if dataclasses.is_dataclass(hint):
-        return dataclass_from_json(hint, value, key + ".")
-    if typing.get_origin(hint) is tuple:
-        items = typing.get_args(hint)
-        if not isinstance(value, list) or len(value) != len(items):
-            raise ConfigError(f"{key} must be a list of {len(items)} numbers, got {value!r:.60}")
-        return tuple(_field_value(item, v, key) for item, v in zip(items, value))
-    if hint is str and isinstance(value, str):
-        return value
-    if hint is int and (type(value) is int or type(value) is float and value.is_integer()):
-        return int(value)
-    # the bounds also reject NaN, infinities, and ints too large for a float
-    if hint is float and type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max:
-        return float(value)
-    raise ConfigError(f"{key} must be {_EXPECTED[hint]}, got {value!r:.60}")
-
-
-scenario_to_dict = dataclasses.asdict
-
-
-def scenario_from_dict(doc) -> ScenarioSpec:
-    return dataclass_from_json(ScenarioSpec, doc)
-
-
 def scenario_to_json(spec: ScenarioSpec) -> str:
-    return json_text(scenario_to_dict(spec))
+    return json_text(json_doc(spec))
 
 
 def scenario_from_json(text: str) -> ScenarioSpec:
-    return scenario_from_dict(json.loads(text))
+    return dataclass_from_json(ScenarioSpec, json.loads(text))

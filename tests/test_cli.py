@@ -12,12 +12,11 @@ import pytest
 import replica_harmony
 from replica_harmony.cli import main, resolve_seeds
 from replica_harmony.harness import ALGORITHMS, build_experiment, compare_algorithms, run_trial
-from replica_harmony.model import topology_from_json, topology_to_json, validate_topology
+from replica_harmony.model import json_doc, topology_from_json, topology_to_json, validate_topology
 from replica_harmony.scenario import (
     ScenarioSpec,
     builtin_scenario,
     scenario_from_json,
-    scenario_to_dict,
     scenario_to_json,
 )
 
@@ -59,6 +58,28 @@ def test_generate_writes_deterministic_files(tmp_path):
     before = (topo_path.read_bytes(), work_path.read_bytes())
     assert main(argv) == 0
     assert (topo_path.read_bytes(), work_path.read_bytes()) == before
+
+
+# SHA-256 of the files `generate --scenario builtin:k --seed 7` wrote before
+# the topology and workload formats were read and written by the dataclass codec
+GENERATE_DIGESTS = {
+    "topology_builtin-1_seed7.json": "0594b278f0c13ce5d3cb0370fd89e957fbfed65c8cafb9bf9f2c8ddf462dc5a0",
+    "workload_builtin-1_seed7.json": "806012aa8dccc0d35e1c139df52c64d08e7eea53e9bf3eb15c608229e25dba81",
+    "topology_builtin-2_seed7.json": "252157f676fc75f61e9982e318e1abc6ae8f2aa699b04a7466598169115eb0bd",
+    "workload_builtin-2_seed7.json": "693ae3fb430dd172400f37aff21407d1c5619e59f401541d61a3cf0bbb2b59ac",
+    "topology_builtin-3_seed7.json": "4049f7fa6d35ed901a42d283d78381650affd0628557ab4e0b3d4bd135500ee2",
+    "workload_builtin-3_seed7.json": "2a830c5e7f129d8dd7e984d9cdc74f9d5d0086b99e1569285dd536f3aa6677cc",
+    "topology_builtin-4_seed7.json": "78da90db0580f4c86ab62b029dcb54504825b6e8b79aa516787323238f2e458f",
+    "workload_builtin-4_seed7.json": "80629db0429ff181f8673adfa63b167a701f47bc8ff9c596bb4397e5325bc449",
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_generate_output_digests(tmp_path, k):
+    out = tmp_path / "gen"
+    assert main(["generate", "--scenario", f"builtin:{k}", "--seed", "7", "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == {name: digest for name, digest in GENERATE_DIGESTS.items() if f"builtin-{k}_" in name}
 
 
 def test_generate_unknown_builtin(tmp_path, capsys):
@@ -185,7 +206,7 @@ def test_out_of_range_trial_option_is_a_config_error(tmp_path, capsys, flags):
 )
 def test_out_of_range_spec_is_a_config_error(tmp_path, capsys, field, bad):
     spec_path = tmp_path / "bad.json"
-    doc = scenario_to_dict(write_tiny_scenario(spec_path))
+    doc = json_doc(write_tiny_scenario(spec_path))
     doc[field] = bad
     spec_path.write_text(json.dumps(doc))
     for command in ("generate", "run"):
@@ -260,7 +281,7 @@ def _edited(doc, drop=(), **changes):
 )
 def test_malformed_spec_is_a_config_error(tmp_path, capsys, edit, message):
     spec_path = tmp_path / "bad.json"
-    spec_path.write_text(json.dumps(edit(scenario_to_dict(write_tiny_scenario(spec_path)))))
+    spec_path.write_text(json.dumps(edit(json_doc(write_tiny_scenario(spec_path)))))
     for command in ("generate", "run"):
         assert main([command, "--scenario", str(spec_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -318,6 +339,18 @@ def test_repeated_algorithm_is_a_config_error(tmp_path, capsys, command):
             "--algo", "hs", "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "repeat" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_writes_nothing_when_a_later_scenario_fails(tmp_path, capsys):
+    # one cloud cannot hold the policy's two replicas, so the second scenario is infeasible
+    write_tiny_scenario(tmp_path / "ok.json", name="ok")
+    bad = ScenarioSpec(name="bad", num_gateways=2, num_clouds=1, timesteps=3)
+    (tmp_path / "bad.json").write_text(scenario_to_json(bad))
+    argv = ["compare", "--scenario", str(tmp_path / "ok.json"), "--scenario", str(tmp_path / "bad.json"),
+            "--algo", "hs", "--algo", "random", "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "replicas" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from replica_harmony.errors import CapacityExceeded, InvalidAllocation
+from replica_harmony.errors import CapacityExceeded, ConfigError, InvalidAllocation
 from replica_harmony.model import (
     AllocationVector,
     DataItem,
@@ -146,3 +146,47 @@ def test_topology_json_rejects_invalid_documents():
     assert "non-positive total capacity at cloud c0" in text
     assert "cloud at position 1 has id 7" in text
     assert "non-positive rate at (g0,c2)" in text
+
+
+def _set(path, value):
+    def edit(doc):
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        return doc
+    return edit
+
+
+def _rename_used_capacity(doc):
+    cloud = doc["clouds"][0]
+    cloud["used_capacity_byte"] = cloud.pop("used_capacity_bytes")
+    return doc
+
+
+def _drop_waiting_time(doc):
+    del doc["gateways"][2]["waiting_time_s"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set(["clouds", 1, "id"], 1.7), "clouds[1].id must be an integer"),
+        (_set(["gateways", 0, "waiting_time_s"], "0.5"), "gateways[0].waiting_time_s must be a finite number"),
+        (_set(["clouds", 0, "total_capacity_bytes"], True), "clouds[0].total_capacity_bytes must be a finite number"),
+        (_rename_used_capacity, "unknown key clouds[0].used_capacity_byte;"),
+        (_drop_waiting_time, "missing required key gateways[2].waiting_time_s"),
+        (_set(["clouds", 3, "waiting_time_s"], float("nan")), "clouds[3].waiting_time_s must be a finite number"),
+        (_set(["links", "gw_to_cloud"], 5), "links.gw_to_cloud must be a list"),
+        (lambda doc: [doc], "document must be a JSON object"),
+    ],
+    ids=["fractional-id", "string-number", "bool-capacity", "typo-used-capacity", "no-waiting-time",
+         "nan-wait", "scalar-links", "list-document"],
+)
+def test_malformed_topology_is_a_config_error(edit, message):
+    doc = json.loads(topology_to_json(generate_topology(builtin_scenario(1), random.Random(0))))
+    with pytest.raises(ConfigError) as err:
+        topology_from_json(json.dumps(edit(doc)))
+    assert message in str(err.value)

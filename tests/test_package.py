@@ -28,7 +28,7 @@ def test_package_imports_only_the_standard_library():
 def test_only_config_errors_exit_2():
     # cli.main maps ConfigError to exit 2; a ValueError from anywhere else is
     # an internal error, so the CLI boundary neither catches nor raises one
-    trees = {name: ast.parse((PACKAGE_DIR / name).read_text()) for name in ("cli.py", "scenario.py")}
+    trees = {name: ast.parse((PACKAGE_DIR / name).read_text()) for name in ("cli.py", "scenario.py", "model.py")}
     main = next(node for node in ast.walk(trees["cli.py"])
                 if isinstance(node, ast.FunctionDef) and node.name == "main")
     caught = [ast.unparse(handler.type) for handler in ast.walk(main)
@@ -61,3 +61,11 @@ def test_each_file_format_has_one_writer():
              if isinstance(node, ast.Attribute) and node.attr == "join"
              and isinstance(node.value, ast.Constant) and node.value.value == ","]
     assert joins == []
+
+
+def test_unit_bearing_json_keys_are_declared_once():
+    # a field whose name lacks its unit declares its JSON key in its metadata,
+    # and the codec in model.py reads and writes every file by that one spelling
+    source = "".join(path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py")))
+    keys = ("read_delay_ms_per_byte", "write_delay_ms_per_byte", "total_capacity_bytes", "used_capacity_bytes")
+    assert {key: source.count(key) for key in keys} == dict.fromkeys(keys, 1)
