@@ -60,7 +60,8 @@ EXIT_INTERNAL = 5
 
 SEED_ENV_VAR = "REPLICA_HARMONY_SEED"
 
-PLOT_METRICS = ("cost", "delay", "energy")
+# plot metric -> the TimestepRecord field its curve averages over seeds
+PLOT_FIELDS = {"cost": "mean_cost_s", "delay": "mean_delay_s", "energy": "energy_j"}
 
 
 def resolve_scenario(source: str) -> ScenarioSpec:
@@ -124,7 +125,6 @@ def _trial_options(args) -> TrialOptions:
     return TrialOptions(
         memory_size_hms=args.hms,
         exercises=args.exercises,
-        budget=args.budget,
         energy=_read_json(args.energy_params, EnergyParams) if args.energy_params else EnergyParams(),
     )
 
@@ -177,18 +177,16 @@ def cmd_run(args) -> int:
 
 def _plot_csv(reports, algorithms, seeds, metric) -> str:
     """Per-timestep curve per algorithm, averaged over seeds; energy cumulative."""
+    name = PLOT_FIELDS[metric]
     rows = []
     timesteps = len(next(iter(reports.values())).series)
     running = {algo: 0.0 for algo in algorithms}
     for i in range(timesteps):
         cells = [i + 1]
         for algo in algorithms:
-            if metric == "cost":
-                value = sum(reports[(algo, s)].series[i].mean_cost_s for s in seeds) / len(seeds)
-            elif metric == "delay":
-                value = sum(reports[(algo, s)].series[i].mean_delay_s for s in seeds) / len(seeds)
-            else:
-                running[algo] += sum(reports[(algo, s)].series[i].energy_j for s in seeds) / len(seeds)
+            value = sum(getattr(reports[(algo, s)].series[i], name) for s in seeds) / len(seeds)
+            if metric == "energy":
+                running[algo] += value
                 value = running[algo]
             cells.append(value)
         rows.append(cells)
@@ -214,7 +212,7 @@ def cmd_compare(args) -> int:
         table = compare_algorithms(spec, args.algo, seeds, options)
         comparison_rows += [(spec.name, *astuple(row)) for row in table.rows]
         win_rows += [(spec.name, a, b, rate) for (a, b), rate in sorted(table.win_rates.items())]
-        for metric in PLOT_METRICS:
+        for metric in PLOT_FIELDS:
             plots[f"plot_{slug}_{metric}.csv"] = _plot_csv(table.reports, list(args.algo), seeds, metric)
 
     for name, text in plots.items():
@@ -233,13 +231,18 @@ def cmd_report(args) -> int:
         raise EmptyInput(f"no trial CSV files in {directory}")
 
     by_scenario: dict[str, dict[str, list]] = {}
+    trial_files: dict[tuple[str, str, int], str] = {}
     for path in csv_paths:
-        # a bad header or no rows raise package errors, a short row IndexError,
-        # a cell that is not a number ValueError
+        # a bad header, row width or row count raises a package error, a cell
+        # that is not a number (or text that is not UTF-8) a ValueError
         try:
             report = report_from_csv(path.read_text())
-        except (ReplicaHarmonyError, ValueError, IndexError) as exc:
+        except (ReplicaHarmonyError, ValueError) as exc:
             raise MalformedInput(f"{path.name}: {exc!r}") from None
+        trial = (report.scenario, report.algorithm, report.seed)
+        if trial in trial_files:
+            raise MalformedInput(f"{trial_files[trial]} and {path.name} both hold trial {trial}")
+        trial_files[trial] = path.name
         summary_path = path.with_suffix(".json")
         if summary_path.exists():
             try:
@@ -286,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--hms", type=int, default=10, help="harmony memory size")
         p.add_argument("--exercises", type=int, help="fixed exercises per datum")
-        p.add_argument("--budget", type=int, help="fixed evaluation budget per datum")
         p.add_argument("--energy-params", help="JSON file with e_uplink/e_intercloud/e_write")
         p.add_argument(
             "--threads", type=_thread_count, default=1,

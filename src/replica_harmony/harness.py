@@ -125,7 +125,6 @@ def check_totals(series, totals: RunTotals) -> None:
 class TrialOptions:
     memory_size_hms: int = 10
     exercises: int | None = None  # fixed count; None draws per datum from the spec range
-    budget: int | None = None  # fixed evaluation budget; None matches HMS + exercises
     energy: EnergyParams = field(default_factory=EnergyParams)
 
     def __post_init__(self):
@@ -133,8 +132,6 @@ class TrialOptions:
             raise ConfigError("memory size (--hms) must be >= 2")
         if self.exercises is not None and self.exercises < 1:
             raise ConfigError("exercises must be >= 1")
-        if self.budget is not None and self.budget < 1:
-            raise ConfigError("budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -188,22 +185,20 @@ def _run_optimizer(
     algorithm: str,
     model: CostModel,
     problem: PlacementProblem,
-    opt_seed: int,
+    seed: int,
+    hms: int,
     exercises: int,
-    budget: int,
-    options: TrialOptions,
 ) -> OptResult:
+    """One optimizer run on problem; every heuristic spends hms + exercises evaluations."""
     if algorithm == "hs":
-        return hs_optimize(
-            problem,
-            OptParams(exercises=exercises, memory_size_hms=options.memory_size_hms, seed=opt_seed),
-        )
+        return hs_optimize(problem, OptParams(exercises, hms, seed))
+    budget = hms + exercises
     if algorithm == "random":
-        return random_search(problem, budget, random.Random(opt_seed))
+        return random_search(problem, budget, random.Random(seed))
     if algorithm == "ga":
-        return ga_optimize(problem, GAParams(seed=opt_seed, budget=budget))
+        return ga_optimize(problem, GAParams(budget, seed))
     if algorithm == "foa":
-        return foa_optimize(problem, FOAParams(seed=opt_seed, budget=budget))
+        return foa_optimize(problem, FOAParams(budget, seed))
     if algorithm == "exhaustive":
         best = model.best_allocation(problem.datum, problem.feasible_clouds, problem.replica_count)
         cost = model.total(problem.datum, best)
@@ -244,13 +239,12 @@ def run_trial_detailed(
             exercises = experiment.exercises[index] if options.exercises is None else options.exercises
             requester = experiment.requesters[index]
             index += 1
-            budget = options.budget
-            if budget is None:
-                budget = options.memory_size_hms + exercises
             opt_seed = derive_seed(root_seed, spec.name, "opt", algorithm, datum.id)
             try:
                 problem = PlacementProblem(current, datum, model.objective(datum))
-                result = _run_optimizer(algorithm, model, problem, opt_seed, exercises, budget, options)
+                result = _run_optimizer(
+                    algorithm, model, problem, opt_seed, options.memory_size_hms, exercises
+                )
                 current = commit_placement(current, datum, result.best)
             except (Infeasible, CapacityExceeded):
                 failures += 1
@@ -431,6 +425,9 @@ def report_from_csv(text: str) -> RunReport:
         raise ShapeMismatch("unexpected CSV header")
     if len(rows) < 2:
         raise EmptyInput("CSV holds no timestep rows")
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(CSV_HEADER):
+            raise ShapeMismatch(f"line {line} has {len(row)} cells, not {len(CSV_HEADER)}")
     scenario, algorithm, seed = rows[1][1], rows[1][2], int(rows[1][3])
     series = []
     for row in rows[1:]:

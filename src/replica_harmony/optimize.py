@@ -38,7 +38,7 @@ class PlacementProblem:
         self,
         topology: Topology,
         datum: DataItem,
-        objective: Callable[[AllocationVector], float] | None = None,
+        objective: Callable[[AllocationVector], float],
     ):
         self.topology = topology
         self.datum = datum
@@ -54,10 +54,6 @@ class PlacementProblem:
                 f"datum {datum.id} needs {datum.replica_count} replicas but only "
                 f"{len(self.feasible_clouds)} clouds have {datum.size} bytes free"
             )
-        if objective is None:
-            from .cost import CostModel
-
-            objective = CostModel(topology).objective(datum)
         self.objective = objective
 
     @property
@@ -119,18 +115,12 @@ class OptResult:
 
 def random_allocation(problem: PlacementProblem, rng: random.Random) -> AllocationVector:
     """Sample r distinct feasible cloud ids uniformly."""
-    r = problem.replica_count
-    if r > len(problem.feasible_clouds):
-        raise Infeasible(f"only {len(problem.feasible_clouds)} feasible clouds for r={r}")
-    return AllocationVector(tuple(rng.sample(problem._sample_pool, r)))
+    return AllocationVector(tuple(rng.sample(problem._sample_pool, problem.replica_count)))
 
 
 def roulette_select_pair(memory: HarmonyMemory, rng: random.Random) -> tuple[int, int]:
     """Two distinct indices; sorted rank k gets weight (size - k + 1)."""
-    m = len(memory)
-    if m < 2:
-        raise ValueError("need at least two harmonies to select a pair")
-    weights = list(range(m, 0, -1))
+    weights = list(range(len(memory), 0, -1))
     first = _roulette_draw(weights, rng)
     weights[first] = 0
     second = _roulette_draw(weights, rng)
@@ -155,8 +145,6 @@ def combine_harmonies(
     rng: random.Random,
 ) -> AllocationVector:
     """Position-wise coin flip between the parents, then duplicate repair."""
-    if len(a.vector) != len(b.vector):
-        raise ValueError("parent vectors must have equal length")
     raw = tuple(
         x if rng.random() < 0.5 else y for x, y in zip(a.vector.clouds, b.vector.clouds)
     )
@@ -167,15 +155,12 @@ def _repair_duplicates(
     values: Sequence[int], feasible: Sequence[int], rng: random.Random
 ) -> tuple[int, ...]:
     """Left-to-right scan: a value already seen is replaced by a random
-    unused feasible cloud."""
+    unused feasible cloud; one is left while r <= len(feasible)."""
     seen: set[int] = set()
     out = []
     for v in values:
         if v in seen:
-            unused = [c for c in feasible if c not in seen]
-            if not unused:
-                raise Infeasible("duplicate repair ran out of feasible clouds")
-            v = rng.choice(unused)
+            v = rng.choice([c for c in feasible if c not in seen])
         seen.add(v)
         out.append(v)
     return tuple(out)

@@ -180,7 +180,7 @@ def test_run_and_compare_seed_precedence_env_spec(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--budget", "0"], ["--budget", "-5"], ["--exercises", "0"], ["--hms", "1"]],
+    [["--exercises", "0"], ["--exercises", "-5"], ["--hms", "1"], ["--hms", "0"]],
 )
 def test_out_of_range_trial_option_is_a_config_error(tmp_path, capsys, flags):
     spec_path = tmp_path / "tiny.json"
@@ -189,6 +189,19 @@ def test_out_of_range_trial_option_is_a_config_error(tmp_path, capsys, flags):
         argv = ["run", "--scenario", str(spec_path), "--algo", algo, *flags, "--out", str(tmp_path / "out")]
         assert main(argv) == 2, algo
         assert "must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_budget_flag_is_gone(tmp_path, capsys, command):
+    # every algorithm spends HMS + exercises evaluations; no flag sets the
+    # baselines' budget apart from HS's
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    argv = [command, "--scenario", str(spec_path), "--algo", "hs", "--algo", "random",
+            "--budget", "30", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "--budget" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -661,8 +674,9 @@ def _short_row(text):
         _short_row,
         lambda text: text.replace(",0\n", ",zero\n", 1),
         lambda text: text.splitlines()[0] + "\n",
+        lambda text: text.replace(",0\n", ",0,99\n", 1),
     ],
-    ids=["header", "short-row", "non-number", "header-only"],
+    ids=["header", "short-row", "non-number", "header-only", "long-row"],
 )
 def test_report_rejects_malformed_trial_csv(tmp_path, capsys, tamper):
     spec_path = tmp_path / "tiny.json"
@@ -674,6 +688,22 @@ def test_report_rejects_malformed_trial_csv(tmp_path, capsys, tamper):
     capsys.readouterr()
     assert main(["report", str(out)]) == 4
     assert csv_path.name in capsys.readouterr().err
+
+
+def test_report_rejects_two_files_for_one_trial(tmp_path, capsys):
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    out = tmp_path / "runs"
+    assert main(["run", "--scenario", str(spec_path), "--algo", "hs", "--algo", "random",
+                 "--out", str(out)]) == 0
+    original = out / "trial_tiny_hs_seed0.csv"
+    copy = out / "trial_tiny_hs_seed0_copy.csv"
+    copy.write_text(original.read_text())
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert original.name in captured.err and copy.name in captured.err
+    assert captured.out == ""
 
 
 def test_custom_energy_params_change_energy_only(tmp_path):

@@ -27,6 +27,7 @@ from replica_harmony.harness import (
     win_rate,
 )
 from replica_harmony.model import Policy
+from replica_harmony.optimize import PlacementProblem
 from replica_harmony.scenario import ScenarioSpec, builtin_scenario
 
 
@@ -120,9 +121,20 @@ def test_exercises_drawn_from_spec_range():
 
 def test_trial_options_override_budget():
     spec = small_spec(timesteps=10)
-    fat = run_trial(spec, "random", 1, TrialOptions(budget=200))
-    thin = run_trial(spec, "random", 1, TrialOptions(budget=1))
+    fat = run_trial(spec, "random", 1, TrialOptions(exercises=190))
+    thin = run_trial(spec, "random", 1, TrialOptions(exercises=1))
     assert fat.totals.mean_cost_s <= thin.totals.mean_cost_s
+
+
+@pytest.mark.parametrize("algorithm", ["hs", "random", "ga", "foa"])
+def test_every_heuristic_spends_hms_plus_exercises(algorithm):
+    experiment = build_experiment(small_spec(num_clouds=12), 0)
+    datum = experiment.workload[0]
+    problem = PlacementProblem(experiment.topology, datum, experiment.model.objective(datum))
+    for hms in (2, 10, 40):
+        for exercises in (1, 5, 10):
+            result = harness._run_optimizer(algorithm, experiment.model, problem, 3, hms, exercises)
+            assert result.evaluations == hms + exercises, (hms, exercises)
 
 
 def test_compare_single_cell_collapses_to_run_trial():

@@ -72,8 +72,9 @@ def test_placement_problem_feasibility():
     t = make_topology(rng, 2, 4, capacity=(100.0, 100.0))
     big = DataItem(0, 150.0, 0, 1)
     with pytest.raises(Infeasible):
-        PlacementProblem(t, big)
-    ok = PlacementProblem(t, DataItem(0, 50.0, 0, 2))
+        PlacementProblem(t, big, CostModel(t).objective(big))
+    d = DataItem(0, 50.0, 0, 2)
+    ok = PlacementProblem(t, d, CostModel(t).objective(d))
     assert ok.feasible_clouds == (0, 1, 2, 3)
 
 
@@ -85,7 +86,8 @@ def test_placement_problem_excludes_full_clouds():
     crowded = dataclasses.replace(
         t, clouds=(dataclasses.replace(t.clouds[0], used_capacity=90.0),) + t.clouds[1:]
     )
-    problem = PlacementProblem(crowded, DataItem(0, 50.0, 0, 2))
+    d = DataItem(0, 50.0, 0, 2)
+    problem = PlacementProblem(crowded, d, CostModel(crowded).objective(d))
     assert problem.feasible_clouds == (1, 2, 3)
 
 
