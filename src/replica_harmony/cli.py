@@ -233,8 +233,8 @@ def cmd_report(args) -> int:
     by_scenario: dict[str, dict[str, list]] = {}
     trial_files: dict[tuple[str, str, int], str] = {}
     for path in csv_paths:
-        # a bad header, row width or row count raises a package error, a cell
-        # that is not a number (or text that is not UTF-8) a ValueError
+        # a bad header, row width, row count or timestep order raises a package
+        # error, a cell that is not a number (or non-UTF-8 text) a ValueError
         try:
             report = report_from_csv(path.read_text())
         except (ReplicaHarmonyError, ValueError) as exc:
@@ -247,10 +247,8 @@ def cmd_report(args) -> int:
         if summary_path.exists():
             try:
                 check_totals(report.series, totals_from_json(summary_path.read_text()))
-            except (MalformedInput, UnicodeDecodeError) as exc:
+            except (MalformedInput, ShapeMismatch, UnicodeDecodeError) as exc:
                 raise MalformedInput(f"{summary_path.name}: {exc}") from None
-            except ShapeMismatch as exc:
-                raise ShapeMismatch(f"{summary_path.name}: {exc}") from None
         by_algo = by_scenario.setdefault(report.scenario, {})
         by_algo.setdefault(report.algorithm, []).append(report)
 

@@ -434,6 +434,8 @@ def report_from_csv(text: str) -> RunReport:
         if (row[1], row[2], int(row[3])) != (scenario, algorithm, seed):
             raise ShapeMismatch("CSV mixes trials")
         series.append(TimestepRecord(int(row[0]), *map(float, row[4:7]), int(row[7]), int(row[8])))
+    if [rec.timestep for rec in series] != list(range(1, len(series) + 1)):
+        raise ShapeMismatch("timesteps do not run 1..T in order")
     series = tuple(series)
     return RunReport(scenario, algorithm, seed, series, recompute_totals(series))
 

@@ -111,10 +111,15 @@ class AllocationVector:
 
     def __post_init__(self):
         object.__setattr__(self, "clouds", tuple(int(c) for c in self.clouds))
-        if len(self.clouds) < 1:
-            raise InvalidAllocation("allocation vector must hold at least one cloud id")
-        if len(set(self.clouds)) != len(self.clouds):
-            raise InvalidAllocation(f"duplicate cloud ids in allocation {self.clouds}")
+        _check_distinct(self.clouds)
+
+    @classmethod
+    def unchecked(cls, clouds: tuple[int, ...]) -> AllocationVector:
+        """clouds as given, unchecked: the optimizers' candidates are distinct
+        ints by construction, and commit_placement checks the one placed."""
+        vector = object.__new__(cls)
+        object.__setattr__(vector, "clouds", clouds)
+        return vector
 
     def __len__(self) -> int:
         return len(self.clouds)
@@ -196,6 +201,13 @@ def validate_topology(t: Topology) -> list[str]:
     return violations
 
 
+def _check_distinct(clouds: tuple[int, ...]) -> None:
+    if not clouds:
+        raise InvalidAllocation("allocation vector must hold at least one cloud id")
+    if len(set(clouds)) != len(clouds):
+        raise InvalidAllocation(f"duplicate cloud ids in allocation {clouds}")
+
+
 def check_allocation(t: Topology, a: AllocationVector) -> None:
     """Raise InvalidAllocation unless every id in ``a`` names a cloud of ``t``."""
     n = len(t.clouds)
@@ -207,9 +219,11 @@ def check_allocation(t: Topology, a: AllocationVector) -> None:
 def commit_placement(t: Topology, d: DataItem, a: AllocationVector) -> Topology:
     """Reserve ``d.size`` bytes on every cloud in ``a``; all-or-nothing.
 
-    Returns the updated topology. Raises CapacityExceeded (naming the first
-    offending cloud) without touching any state if one target lacks room.
+    Returns the updated topology. Raises InvalidAllocation for an empty,
+    repeated or out-of-range id vector, and CapacityExceeded (naming the
+    first offending cloud) without touching any state if one target lacks room.
     """
+    _check_distinct(a.clouds)
     check_allocation(t, a)
     clouds = list(t.clouds)
     for c in a.clouds:

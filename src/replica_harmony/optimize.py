@@ -43,12 +43,10 @@ class PlacementProblem:
         self.topology = topology
         self.datum = datum
         size = datum.size
-        # free_capacity written out; random_allocation samples from the list,
-        # which random.sample type-checks faster than a tuple
-        self._sample_pool = [
-            c.id for c in topology.clouds if c.total_capacity - c.used_capacity >= size
-        ]
-        self.feasible_clouds: tuple[int, ...] = tuple(self._sample_pool)
+        # free_capacity written out
+        self.feasible_clouds: tuple[int, ...] = tuple(
+            [c.id for c in topology.clouds if c.total_capacity - c.used_capacity >= size]
+        )
         if datum.replica_count > len(self.feasible_clouds):
             raise Infeasible(
                 f"datum {datum.id} needs {datum.replica_count} replicas but only "
@@ -115,7 +113,37 @@ class OptResult:
 
 def random_allocation(problem: PlacementProblem, rng: random.Random) -> AllocationVector:
     """Sample r distinct feasible cloud ids uniformly."""
-    return AllocationVector(tuple(rng.sample(problem._sample_pool, problem.replica_count)))
+    return AllocationVector.unchecked(sample(rng, problem.feasible_clouds, problem.replica_count))
+
+
+def sample(rng: random.Random, pool: Sequence[int], k: int) -> tuple[int, ...]:
+    """tuple(rng.sample(pool, k)), drawn for k <= 5 by CPython's own steps
+    minus its per-call overhead: up to 21 ids swap-remove from a list copy,
+    above that redraw an index already taken; rng ends in the same state."""
+    n = len(pool)
+    if not 0 <= k <= 5 or k > n:
+        return tuple(rng.sample(pool, k))
+    getrandbits = rng.getrandbits
+    out = []
+    if n <= 21:
+        pool = list(pool)
+        for m in range(n, n - k, -1):
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            out.append(pool[j])
+            pool[j] = pool[m - 1]
+    else:
+        bits = n.bit_length()
+        taken = set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in taken:
+                j = getrandbits(bits)
+            taken.add(j)
+            out.append(pool[j])
+    return tuple(out)
 
 
 def roulette_select_pair(memory: HarmonyMemory, rng: random.Random) -> tuple[int, int]:
@@ -148,7 +176,7 @@ def combine_harmonies(
     raw = tuple(
         x if rng.random() < 0.5 else y for x, y in zip(a.vector.clouds, b.vector.clouds)
     )
-    return AllocationVector(_repair_duplicates(raw, feasible, rng))
+    return AllocationVector.unchecked(_repair_duplicates(raw, feasible, rng))
 
 
 def _repair_duplicates(
@@ -280,7 +308,7 @@ def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
                 child = p1.vector.clouds
             if rng.random() < GA_MUTATION_RATE:
                 child = _mutate_one_position(child, feasible, rng)
-            h = _evaluated(problem, AllocationVector(child))
+            h = _evaluated(problem, AllocationVector.unchecked(child))
             evaluations += 1
             next_gen.append(h)
         population = sorted(next_gen, key=lambda h: h.cost)
@@ -338,7 +366,7 @@ def foa_optimize(problem: PlacementProblem, params: FOAParams) -> OptResult:
                 if evaluations >= budget:
                     break
                 vec = _mutate_one_position(tree.harmony.vector.clouds, feasible, rng)
-                new_trees.append(_Tree(_evaluated(problem, AllocationVector(vec))))
+                new_trees.append(_Tree(_evaluated(problem, AllocationVector.unchecked(vec))))
                 evaluations += 1
         for tree in forest:
             tree.age += 1

@@ -624,7 +624,7 @@ def test_report_detects_tampered_summary(tmp_path, capsys):
     doc = json.loads(summary_path.read_text())
     doc["totals"]["mean_cost_s"] += 0.5
     summary_path.write_text(json.dumps(doc))
-    assert main(["report", str(out)]) == 5
+    assert main(["report", str(out)]) == 4
     assert summary_path.name in capsys.readouterr().err
 
 
@@ -688,6 +688,21 @@ def test_report_rejects_malformed_trial_csv(tmp_path, capsys, tamper):
     capsys.readouterr()
     assert main(["report", str(out)]) == 4
     assert csv_path.name in capsys.readouterr().err
+
+
+def test_report_rejects_repeated_timestep_without_summary(tmp_path, capsys):
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    out = tmp_path / "runs"
+    assert main(["run", "--scenario", str(spec_path), "--algo", "hs", "--out", str(out)]) == 0
+    csv_path = next(out.glob("trial_*.csv"))
+    text = csv_path.read_text()
+    csv_path.write_text(text + text.splitlines()[-1] + "\n")
+    csv_path.with_suffix(".json").unlink()
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert csv_path.name in err and "1..T" in err
 
 
 def test_report_rejects_two_files_for_one_trial(tmp_path, capsys):

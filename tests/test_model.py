@@ -113,6 +113,13 @@ def test_commit_placement_rejects_out_of_range(example_topology):
         commit_placement(example_topology, DataItem(0, 10.0, 0, 1), AllocationVector((7,)))
 
 
+@pytest.mark.parametrize("clouds", [(1, 1), ()], ids=["duplicate", "empty"])
+def test_commit_placement_validates_unchecked_vectors(example_topology, clouds):
+    vector = AllocationVector.unchecked(clouds)
+    with pytest.raises(InvalidAllocation):
+        commit_placement(example_topology, DataItem(0, 10.0, 0, 2), vector)
+
+
 def test_topology_json_round_trip_is_lossless():
     rng = random.Random(11)
     topology = make_topology(rng, 3, 5)

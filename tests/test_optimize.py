@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 
@@ -29,6 +30,7 @@ from replica_harmony.optimize import (
     random_allocation,
     random_search,
     roulette_select_pair,
+    sample,
 )
 
 from conftest import make_topology
@@ -117,6 +119,80 @@ def test_random_allocation_is_uniform_over_subsets():
     assert len(counts) == 6
     for subset, count in counts.items():
         assert abs(count / draws - 1 / 6) <= 0.02, subset
+
+
+def test_sample_reproduces_random_sample():
+    """The golden digests rest on CPython's Random.sample; a Python whose
+    sample draws differently fails here by name, not as a digest mismatch."""
+    for n in range(1, 131):
+        pool = list(range(100, 100 + n))
+        for k in range(1, min(n, 5) + 1):
+            for seed in range(30):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert sample(ours, pool, k) == tuple(theirs.sample(pool, k)), (n, k, seed)
+                assert ours.random() == theirs.random(), (n, k, seed)
+        assert pool == list(range(100, 100 + n))
+
+
+def test_sample_falls_back_beyond_five():
+    pool = list(range(40))
+    ours, theirs = random.Random(5), random.Random(5)
+    assert sample(ours, pool, 9) == tuple(theirs.sample(pool, 9))
+    with pytest.raises(ValueError):
+        sample(ours, pool[:3], 4)
+
+
+def gapped_problem(num_clouds: int, full: int, replicas: int) -> PlacementProblem:
+    """Every third cloud of the first 3 * full is full, so the feasible ids
+    are not 0..n-1."""
+    rng = random.Random(num_clouds)
+    t = make_topology(rng, 3, num_clouds)
+    clouds = tuple(
+        dataclasses.replace(c, used_capacity=c.total_capacity)
+        if c.id % 3 == 1 and c.id < 3 * full
+        else c
+        for c in t.clouds
+    )
+    t = dataclasses.replace(t, clouds=clouds)
+    d = DataItem(0, 50.0, 1, replicas)
+    return PlacementProblem(t, d, CostModel(t).objective(d))
+
+
+@pytest.mark.parametrize(
+    "num_clouds, full, replicas",
+    [(12, 3, 3), (30, 4, 4), (6, 1, 5), (30, 2, 7)],
+    ids=["n9-list-path", "n26-set-path", "r-equals-n", "r7-fallback"],
+)
+@pytest.mark.parametrize("algorithm", ["hs", "random", "ga", "foa"])
+def test_every_evaluated_vector_is_distinct_and_feasible(num_clouds, full, replicas, algorithm):
+    """The optimizers build candidates without AllocationVector's checks;
+    every vector they evaluate must still pass them."""
+    problem = gapped_problem(num_clouds, full, replicas)
+    assert len(problem.feasible_clouds) == num_clouds - full
+    feasible = set(problem.feasible_clouds)
+    evaluated = []
+    objective = problem.objective
+
+    def recording(vector):
+        evaluated.append(vector.clouds)
+        return objective(vector)
+
+    problem.objective = recording
+    for seed in range(3):
+        if algorithm == "hs":
+            result = hs_optimize(problem, OptParams(exercises=50, seed=seed))
+        elif algorithm == "random":
+            result = random_search(problem, 60, random.Random(seed))
+        elif algorithm == "ga":
+            result = ga_optimize(problem, GAParams(budget=60, seed=seed))
+        else:
+            result = foa_optimize(problem, FOAParams(budget=60, seed=seed))
+        assert result.best.clouds in evaluated
+    assert len(evaluated) == 180
+    for clouds in evaluated:
+        assert type(clouds) is tuple and all(type(c) is int for c in clouds)
+        assert len(set(clouds)) == len(clouds) == replicas
+        assert set(clouds) <= feasible
 
 
 def test_roulette_first_draw_distribution():
