@@ -10,15 +10,11 @@ from .cost import CostBreakdown, CostModel, EnergyParams, placement_energy, repl
 from .errors import (
     CapacityExceeded,
     ConfigError,
-    EmptyInput,
     Infeasible,
     InvalidAllocation,
     MalformedInput,
     ReplicaHarmonyError,
     SearchSpaceTooLarge,
-    ShapeMismatch,
-    UnknownAlgorithm,
-    UnknownScenario,
 )
 from .harness import (
     ALGORITHMS,

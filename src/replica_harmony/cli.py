@@ -8,9 +8,9 @@ order of precedence; identical invocations produce identical bytes.
 Trials run serially; --threads is accepted and validated but changes
 nothing.
 
-Exit codes: 0 ok, 2 configuration error (a ConfigError, nothing else),
-3 infeasible problem, 4 I/O error or a malformed file for report, 5
-internal error.
+Exit codes, one error class each: 0 ok, 2 ConfigError (bad options or
+input files), 3 Infeasible, 4 MalformedInput (a bad trial file for report)
+or an OSError, 5 anything else (an internal error).
 """
 
 from __future__ import annotations
@@ -23,15 +23,7 @@ from dataclasses import astuple, fields
 from pathlib import Path
 
 from .cost import EnergyParams
-from .errors import (
-    ConfigError,
-    EmptyInput,
-    Infeasible,
-    MalformedInput,
-    ReplicaHarmonyError,
-    ShapeMismatch,
-    UnknownScenario,
-)
+from .errors import ConfigError, Infeasible, MalformedInput
 from .harness import (
     ALGORITHMS,
     ComparisonRow,
@@ -49,14 +41,13 @@ from .harness import (
 )
 # perfbench/tracing.py looks up cli._run_many by name
 from .harness import run_grid as _run_many
-from .model import dataclass_from_json, json_doc, json_text, topology_to_json, validate_topology
+from .model import dataclass_from_json, json_doc, json_text, topology_to_json
 from .scenario import ScenarioSpec, builtin_scenario
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INFEASIBLE = 3
-EXIT_IO = 4
 EXIT_INTERNAL = 5
+# the error class behind each other exit code; any other exception is internal
+ERROR_EXITS = ((ConfigError, 2), (Infeasible, 3), ((MalformedInput, OSError), 4))
 
 SEED_ENV_VAR = "REPLICA_HARMONY_SEED"
 
@@ -67,11 +58,10 @@ PLOT_FIELDS = {"cost": "mean_cost_s", "delay": "mean_delay_s", "energy": "energy
 def resolve_scenario(source: str) -> ScenarioSpec:
     """builtin:k shorthand or a path to a ScenarioSpec JSON file."""
     if source.startswith("builtin:"):
-        suffix = source.split(":", 1)[1]
         try:
-            k = int(suffix)
+            k = int(source.split(":", 1)[1])
         except ValueError:
-            raise UnknownScenario(f"bad builtin scenario {source!r}; valid: builtin:1..builtin:4")
+            raise ConfigError(f"bad builtin scenario {source!r}; valid: builtin:1..builtin:4")
         return builtin_scenario(k)
     return _read_json(source, ScenarioSpec)
 
@@ -144,11 +134,6 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
 
     topology, workload = draw_scenario(spec, seed)
-    problems = validate_topology(topology)
-    if problems:
-        print("error: generated topology is invalid: " + "; ".join(problems), file=sys.stderr)
-        return EXIT_INTERNAL
-
     slug = _slug(spec.name)
     _write(out / f"topology_{slug}_seed{seed}.json", topology_to_json(topology))
     _write(
@@ -224,31 +209,31 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _parse_file(path: Path, parse):
+    """parse(the text of path); a malformed or non-UTF-8 file is a MalformedInput naming it."""
+    try:
+        return parse(path.read_text())
+    except (MalformedInput, UnicodeDecodeError) as exc:
+        raise MalformedInput(f"{path.name}: {exc}") from None
+
+
 def cmd_report(args) -> int:
     directory = Path(args.dir)
     csv_paths = sorted(directory.glob("trial_*.csv"))
     if not csv_paths:
-        raise EmptyInput(f"no trial CSV files in {directory}")
+        raise ConfigError(f"no trial CSV files in {directory}")
 
     by_scenario: dict[str, dict[str, list]] = {}
     trial_files: dict[tuple[str, str, int], str] = {}
     for path in csv_paths:
-        # a bad header, row width, row count or timestep order raises a package
-        # error, a cell that is not a number (or non-UTF-8 text) a ValueError
-        try:
-            report = report_from_csv(path.read_text())
-        except (ReplicaHarmonyError, ValueError) as exc:
-            raise MalformedInput(f"{path.name}: {exc!r}") from None
+        report = _parse_file(path, report_from_csv)
         trial = (report.scenario, report.algorithm, report.seed)
         if trial in trial_files:
             raise MalformedInput(f"{trial_files[trial]} and {path.name} both hold trial {trial}")
         trial_files[trial] = path.name
         summary_path = path.with_suffix(".json")
         if summary_path.exists():
-            try:
-                check_totals(report.series, totals_from_json(summary_path.read_text()))
-            except (MalformedInput, ShapeMismatch, UnicodeDecodeError) as exc:
-                raise MalformedInput(f"{summary_path.name}: {exc}") from None
+            _parse_file(summary_path, lambda text: check_totals(report.series, totals_from_json(text)))
         by_algo = by_scenario.setdefault(report.scenario, {})
         by_algo.setdefault(report.algorithm, []).append(report)
 
@@ -328,21 +313,11 @@ def main(argv=None) -> int:
         args.algo = list(args.default_algos)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Infeasible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (OSError, MalformedInput) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ReplicaHarmonyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:
-        print(f"error: {exc!r}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code = next((code for kind, code in ERROR_EXITS if isinstance(exc, kind)), EXIT_INTERNAL)
+        # an internal error is shown with its class, which names the bug
+        print(f"error: {exc!r}" if code == EXIT_INTERNAL else f"error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; each exit code of the CLI has one."""
 
 
 class ReplicaHarmonyError(Exception):
@@ -6,11 +6,11 @@ class ReplicaHarmonyError(Exception):
 
 
 class InvalidAllocation(ReplicaHarmonyError):
-    """Allocation vector has duplicate or out-of-range cloud ids."""
+    """Allocation vector has duplicate or out-of-range cloud ids: exit 5."""
 
 
 class CapacityExceeded(ReplicaHarmonyError):
-    """A target cloud lacks free capacity for the datum."""
+    """A target cloud lacks free capacity for the datum: exit 5."""
 
     def __init__(self, cloud_id: int, message: str = ""):
         self.cloud_id = cloud_id
@@ -18,32 +18,17 @@ class CapacityExceeded(ReplicaHarmonyError):
 
 
 class Infeasible(ReplicaHarmonyError):
-    """Fewer feasible clouds than required replicas."""
+    """Fewer feasible clouds than required replicas: exit 3."""
 
 
 class SearchSpaceTooLarge(ReplicaHarmonyError):
-    """Exhaustive enumeration would exceed the configured subset limit."""
+    """Exhaustive enumeration would exceed the configured subset limit: exit 5."""
 
 
 class ConfigError(ReplicaHarmonyError, ValueError):
-    """Outside input (a scenario, option, seed or JSON file) is invalid: exit 2."""
-
-
-class UnknownScenario(ConfigError):
-    """Scenario identifier does not name a built-in scenario."""
-
-
-class UnknownAlgorithm(ConfigError):
-    """Algorithm name is not one of the supported optimizers."""
-
-
-class EmptyInput(ConfigError):
-    """An aggregation was asked to summarize nothing."""
-
-
-class ShapeMismatch(ReplicaHarmonyError):
-    """Reports passed to an aggregation disagree in scenario or length."""
+    """Bad outside input (a scenario, option, seed, algorithm or JSON file, no trial file): exit 2."""
 
 
 class MalformedInput(ReplicaHarmonyError):
-    """An input file lacks a required field or holds an unknown one."""
+    """A trial CSV or JSON summary for report is malformed (a bad header, row
+    or cell, a negative or non-finite value, totals off the series): exit 4."""

@@ -23,20 +23,13 @@ import io
 import json
 import math
 import random
+import sys
 import time
 from dataclasses import astuple, dataclass, field, fields
 from statistics import pstdev
 
 from .cost import CostModel, EnergyParams, placement_energy
-from .errors import (
-    CapacityExceeded,
-    ConfigError,
-    EmptyInput,
-    Infeasible,
-    MalformedInput,
-    ShapeMismatch,
-    UnknownAlgorithm,
-)
+from .errors import ConfigError, Infeasible, MalformedInput
 from .model import AllocationVector, DataItem, Topology, commit_placement
 from .optimize import (
     FOAParams,
@@ -112,13 +105,13 @@ def recompute_totals(series, wall_clock_s: float = 0.0) -> RunTotals:
 
 
 def check_totals(series, totals: RunTotals) -> None:
-    """Raise ShapeMismatch unless totals are the ones the series implies."""
+    """Raise MalformedInput unless totals are the ones the series implies."""
     fresh = recompute_totals(series)
     for name in ("mean_cost_s", "mean_delay_s", "energy_j"):
         if not math.isclose(getattr(totals, name), getattr(fresh, name), rel_tol=1e-12, abs_tol=1e-15):
-            raise ShapeMismatch(f"totals.{name} disagrees with the series")
+            raise MalformedInput(f"totals.{name} disagrees with the series")
     if (totals.placed, totals.failures) != (fresh.placed, fresh.failures):
-        raise ShapeMismatch("totals counts disagree with the series")
+        raise MalformedInput("totals counts disagree with the series")
 
 
 @dataclass(frozen=True)
@@ -199,11 +192,10 @@ def _run_optimizer(
         return ga_optimize(problem, GAParams(budget, seed))
     if algorithm == "foa":
         return foa_optimize(problem, FOAParams(budget, seed))
-    if algorithm == "exhaustive":
-        best = model.best_allocation(problem.datum, problem.feasible_clouds, problem.replica_count)
-        cost = model.total(problem.datum, best)
-        return OptResult(best, cost, (cost,), 1)
-    raise UnknownAlgorithm(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
+    # exhaustive: run_trial_detailed admits no other name
+    best = model.best_allocation(problem.datum, problem.feasible_clouds, problem.replica_count)
+    cost = model.total(problem.datum, best)
+    return OptResult(best, cost, (cost,), 1)
 
 
 def run_trial_detailed(
@@ -215,9 +207,7 @@ def run_trial_detailed(
 ) -> TrialResult:
     """One algorithm on the experiment of (spec, root_seed), built here when omitted."""
     if algorithm not in ALGORITHMS:
-        raise UnknownAlgorithm(
-            f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}"
-        )
+        raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
     started = time.perf_counter()
     if experiment is None:
         experiment = build_experiment(spec, root_seed)
@@ -246,7 +236,7 @@ def run_trial_detailed(
                     algorithm, model, problem, opt_seed, options.memory_size_hms, exercises
                 )
                 current = commit_placement(current, datum, result.best)
-            except (Infeasible, CapacityExceeded):
+            except Infeasible:  # CapacityExceeded is a bug: the problem offers only clouds with room
                 failures += 1
                 placements.append((datum, None))
                 continue
@@ -324,7 +314,7 @@ def run_grid(
     algorithms = list(algorithms)
     seeds = list(seeds)
     if not algorithms or not seeds:
-        raise EmptyInput("need at least one algorithm and one seed")
+        raise ConfigError("need at least one algorithm and one seed")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds {seeds} repeat a seed")
     if len(set(algorithms)) != len(algorithms):
@@ -419,25 +409,42 @@ def report_to_csv(report: RunReport) -> str:
     return csv_text(CSV_HEADER, ((rec.timestep, *trial, *astuple(rec)[1:]) for rec in report.series))
 
 
+def _check_amount(where: str, value) -> None:
+    """MalformedInput unless value is a float in [0, the largest float] or an
+    int in [0, 2**53], a bound that keeps counts exact as floats and sums of them finite."""
+    limit = 2**53 if type(value) is int else sys.float_info.max
+    if not (type(value) in (int, float) and 0 <= value <= limit):
+        raise MalformedInput(f"{where} must be in [0, {limit:.6g}], got {value!r:.40}")
+
+
 def report_from_csv(text: str) -> RunReport:
+    """The trial a CSV holds; MalformedInput says what is wrong with it."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != CSV_HEADER:
-        raise ShapeMismatch("unexpected CSV header")
+        raise MalformedInput("unexpected CSV header")
     if len(rows) < 2:
-        raise EmptyInput("CSV holds no timestep rows")
+        raise MalformedInput("CSV holds no timestep rows")
+    series = []
     for line, row in enumerate(rows[1:], start=2):
         if len(row) != len(CSV_HEADER):
-            raise ShapeMismatch(f"line {line} has {len(row)} cells, not {len(CSV_HEADER)}")
-    scenario, algorithm, seed = rows[1][1], rows[1][2], int(rows[1][3])
-    series = []
-    for row in rows[1:]:
-        if (row[1], row[2], int(row[3])) != (scenario, algorithm, seed):
-            raise ShapeMismatch("CSV mixes trials")
-        series.append(TimestepRecord(int(row[0]), *map(float, row[4:7]), int(row[7]), int(row[8])))
+            raise MalformedInput(f"line {line} has {len(row)} cells, not {len(CSV_HEADER)}")
+        if row[1:4] != rows[1][1:4]:
+            raise MalformedInput("CSV mixes trials")
+        try:
+            seed = int(row[3])
+            record = TimestepRecord(int(row[0]), *map(float, row[4:7]), int(row[7]), int(row[8]))
+        except ValueError as exc:
+            raise MalformedInput(f"line {line}: {exc}") from None
+        for f, value in zip(fields(record), astuple(record)):
+            _check_amount(f"line {line} {f.name}", value)
+        series.append(record)
     if [rec.timestep for rec in series] != list(range(1, len(series) + 1)):
-        raise ShapeMismatch("timesteps do not run 1..T in order")
+        raise MalformedInput("timesteps do not run 1..T in order")
     series = tuple(series)
-    return RunReport(scenario, algorithm, seed, series, recompute_totals(series))
+    totals = recompute_totals(series)
+    if not all(map(math.isfinite, astuple(totals))):
+        raise MalformedInput("the series' totals overflow a float")
+    return RunReport(rows[1][1], rows[1][2], seed, series, totals)
 
 
 def totals_to_dict(report: RunReport) -> dict:
@@ -460,6 +467,6 @@ def totals_from_json(text: str) -> RunTotals:
         raise MalformedInput("no totals object")
     if set(totals) != set(TOTALS_FIELDS):
         raise MalformedInput(f"totals keys {sorted(totals)} are not {sorted(TOTALS_FIELDS)}")
-    if not all(type(v) in (int, float) for v in totals.values()):
-        raise MalformedInput("totals values must be numbers")
+    for name, value in totals.items():
+        _check_amount(f"totals.{name}", value)
     return RunTotals(**totals)

@@ -245,7 +245,7 @@ def commit_placement(t: Topology, d: DataItem, a: AllocationVector) -> Topology:
 # --- JSON (de)serialization ------------------------------------------------
 
 # what each non-dataclass field type accepts, for the error message
-_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
+_EXPECTED = {int: "an integer within float range", float: "a finite number", str: "a string"}
 # dataclass -> (JSON key -> (field name, resolved type), required JSON keys), built on first use
 _FIELDS: dict[type, tuple[dict, set]] = {}
 
@@ -259,11 +259,11 @@ def dataclass_from_json(cls, doc, prefix: str = ""):
 
     Unknown keys, missing required keys, and values whose JSON type does
     not fit the field are ConfigErrors naming the key: int fields take
-    integral numbers, float fields finite numbers, tuple[X, X] fields lists
-    of that length, tuple[X, ...] fields lists of any length (elements named
-    by index, as in clouds[1].id), dataclass fields nested objects; a bool
-    or a string is never a number. Missing optional keys take the field
-    defaults.
+    integral and float fields any numbers within a float's range, tuple[X, X]
+    fields lists of that length, tuple[X, ...] fields lists of any length
+    (elements named by index, as in clouds[1].id), dataclass fields nested
+    objects; a bool or a string is never a number. Missing optional keys
+    take the field defaults.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{prefix[:-1] or 'document'} must be a JSON object, got {doc!r:.60}")
@@ -301,11 +301,10 @@ def _field_value(hint, value, key: str):
         return tuple(_field_value(item, v, key) for item, v in zip(items, value))
     if hint is str and isinstance(value, str):
         return value
-    if hint is int and (type(value) is int or type(value) is float and value.is_integer()):
-        return int(value)
-    # the bounds also reject NaN, infinities, and ints too large for a float
-    if hint is float and type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max:
-        return float(value)
+    # the bounds reject NaN, infinities, and ints too large for a float
+    finite = type(value) in (int, float) and -sys.float_info.max <= value <= sys.float_info.max
+    if finite and (hint is float or hint is int and value == int(value)):
+        return hint(value)
     raise ConfigError(f"{key} must be {_EXPECTED[hint]}, got {value!r:.60}")
 
 

@@ -15,10 +15,11 @@ a spec plus a seed reproduces a topology bit-for-bit.
 # No `from __future__ import annotations` here: ScenarioSpec's field types
 # stay objects, so the JSON reader resolves them without compiling strings.
 import json
+import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, Infeasible, UnknownScenario
+from .errors import ConfigError, Infeasible
 from .model import DataItem, Gateway, LinkMatrix, MiniCloud, Policy, Topology
 from .model import dataclass_from_json, json_doc, json_text
 
@@ -65,11 +66,18 @@ class ScenarioSpec:
             raise ConfigError("timesteps must be >= 1")
         if not (0.0 <= self.arrival_probability <= 1.0):
             raise ConfigError("arrival probability must be in [0, 1]")
+        # the costliest datum's cost, once per gateway and timestep, must sum to a float
+        per_byte = 1 / self.gw_rate_range_bytes_per_s[0] + 1 / self.cloud_rate_range_bytes_per_s[0]
+        per_byte += 4 * self.rw_delay_range_ms_per_byte[1] / 1000
+        worst = 2 * self.waiting_time_range_s[1] + per_byte * self.data_size_range_bytes[1]
+        if not math.isfinite(worst * self.num_gateways * self.timesteps):
+            raise ConfigError("costs overflow a float: lower data_size_range_bytes, delays or waits, "
+                              "or raise gw_rate_range_bytes_per_s or cloud_rate_range_bytes_per_s")
 
 
 def builtin_scenario(k: int) -> ScenarioSpec:
     if k not in BUILTIN_SIZES:
-        raise UnknownScenario(f"unknown builtin scenario {k}; valid: 1..4")
+        raise ConfigError(f"unknown builtin scenario {k}; valid: 1..4")
     gateways, clouds = BUILTIN_SIZES[k]
     return ScenarioSpec(
         name=f"builtin:{k}",

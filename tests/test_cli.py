@@ -10,9 +10,26 @@ from pathlib import Path
 import pytest
 
 import replica_harmony
+from replica_harmony import cli
 from replica_harmony.cli import main, resolve_seeds
-from replica_harmony.harness import ALGORITHMS, build_experiment, compare_algorithms, run_trial
-from replica_harmony.model import json_doc, topology_from_json, topology_to_json, validate_topology
+from replica_harmony.errors import (
+    CapacityExceeded,
+    ConfigError,
+    Infeasible,
+    InvalidAllocation,
+    MalformedInput,
+    SearchSpaceTooLarge,
+)
+from replica_harmony.harness import ALGORITHMS, CSV_HEADER, build_experiment, compare_algorithms, run_trial
+from replica_harmony.model import (
+    AllocationVector,
+    Policy,
+    json_doc,
+    topology_from_json,
+    topology_to_json,
+    validate_topology,
+)
+from replica_harmony.optimize import OptResult
 from replica_harmony.scenario import (
     ScenarioSpec,
     builtin_scenario,
@@ -215,6 +232,9 @@ def test_budget_flag_is_gone(tmp_path, capsys, command):
         ("rw_delay_range_ms_per_byte", [-70.0, -20.0]),
         ("waiting_time_range_s", [-1.0, -0.1]),
         ("exercises_range", [0, 3]),
+        # an int no float can hold, and rates whose per-byte times overflow
+        ("data_size_range_bytes", [20, 10**400]),
+        ("gw_rate_range_bytes_per_s", [1e-320, 1e-320]),
     ],
 )
 def test_out_of_range_spec_is_a_config_error(tmp_path, capsys, field, bad):
@@ -321,6 +341,49 @@ def test_malformed_energy_params_is_a_config_error(tmp_path, capsys, doc, messag
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert message in err and str(params_path) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ConfigError, 2),
+        (Infeasible, 3),
+        (MalformedInput, 4),
+        (OSError, 4),
+        (InvalidAllocation, 5),
+        (CapacityExceeded, 5),
+        (SearchSpaceTooLarge, 5),
+        (ValueError, 5),
+    ],
+    ids=lambda value: value.__name__ if isinstance(value, type) else str(value),
+)
+def test_each_exit_code_has_one_error_class(tmp_path, capsys, monkeypatch, error, code):
+    # the table in README "Exit codes"
+    def stub(args):
+        raise error("stub failure")
+
+    monkeypatch.setattr(cli, "cmd_report", stub)
+    assert main(["report", str(tmp_path)]) == code
+    assert "stub failure" in capsys.readouterr().err
+
+
+def test_capacity_failure_at_the_commit_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # PlacementProblem offers only clouds with room for the datum, so an
+    # optimizer answer naming a full cloud is a bug, never a counted failure
+    def first_clouds(problem, params):
+        best = AllocationVector(tuple(range(problem.replica_count)))
+        return OptResult(best, problem.objective(best), (), 1)
+
+    monkeypatch.setattr(replica_harmony.harness, "hs_optimize", first_clouds)
+    spec_path = tmp_path / "tight.json"
+    # every cloud holds one datum, and every datum takes two clouds
+    spec = write_tiny_scenario(spec_path, data_size_range_bytes=(60, 60), capacity_range_bytes=(100.0, 100.0),
+                               policy=Policy(2, 2))
+    with pytest.raises(CapacityExceeded):
+        run_trial(spec, "hs", 0)
+    assert main(["run", "--scenario", str(spec_path), "--algo", "hs", "--out", str(tmp_path / "out")]) == 5
+    assert "CapacityExceeded" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -662,6 +725,16 @@ def test_report_rejects_malformed_summary(tmp_path, capsys, tamper):
     assert summary_path.name in capsys.readouterr().err
 
 
+def _set_cell(column, value):
+    def tamper(text):
+        lines = text.splitlines()
+        cells = lines[1].split(",")
+        cells[column] = value
+        return "\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n"
+
+    return tamper
+
+
 def _short_row(text):
     lines = text.splitlines()
     return "\n".join(lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]) + "\n"
@@ -675,8 +748,13 @@ def _short_row(text):
         lambda text: text.replace(",0\n", ",zero\n", 1),
         lambda text: text.splitlines()[0] + "\n",
         lambda text: text.replace(",0\n", ",0,99\n", 1),
+        _set_cell(CSV_HEADER.index("mean_cost_s"), "nan"),
+        _set_cell(CSV_HEADER.index("mean_delay_s"), "inf"),
+        _set_cell(CSV_HEADER.index("mean_cost_s"), "-1.0"),
+        _set_cell(CSV_HEADER.index("placed"), "-5"),
     ],
-    ids=["header", "short-row", "non-number", "header-only", "long-row"],
+    ids=["header", "short-row", "non-number", "header-only", "long-row",
+         "nan-cost", "inf-delay", "negative-cost", "negative-placed"],
 )
 def test_report_rejects_malformed_trial_csv(tmp_path, capsys, tamper):
     spec_path = tmp_path / "tiny.json"
@@ -685,6 +763,8 @@ def test_report_rejects_malformed_trial_csv(tmp_path, capsys, tamper):
     assert main(["run", "--scenario", str(spec_path), "--algo", "hs", "--out", str(out)]) == 0
     csv_path = next(out.glob("trial_*.csv"))
     csv_path.write_text(tamper(csv_path.read_text()))
+    # with no summary to disagree with, the CSV alone must be rejected
+    csv_path.with_suffix(".json").unlink()
     capsys.readouterr()
     assert main(["report", str(out)]) == 4
     assert csv_path.name in capsys.readouterr().err

@@ -6,7 +6,7 @@ import weakref
 import pytest
 
 from replica_harmony import harness
-from replica_harmony.errors import ConfigError, EmptyInput, ShapeMismatch, UnknownAlgorithm
+from replica_harmony.errors import ConfigError, MalformedInput
 from replica_harmony.harness import (
     ALGORITHMS,
     CSV_HEADER,
@@ -67,7 +67,7 @@ def test_run_trial_deterministic_despite_wall_clock():
 
 
 def test_run_trial_rejects_unknown_algorithm():
-    with pytest.raises(UnknownAlgorithm):
+    with pytest.raises(ConfigError, match="unknown algorithm"):
         run_trial(small_spec(), "annealing", 0)
 
 
@@ -223,12 +223,21 @@ def test_compare_win_rates_are_complementary():
 
 
 def test_compare_rejects_empty_inputs():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ConfigError, match="at least one algorithm and one seed"):
         compare_algorithms(small_spec(), [], [1])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ConfigError, match="at least one algorithm and one seed"):
         compare_algorithms(small_spec(), ["hs"], [])
     with pytest.raises(ValueError):
         compare_algorithms(small_spec(), ["hs", "random"], [1, 2, 1])
+
+
+def test_energy_cannot_rank_algorithms_that_place_the_same_data():
+    # placement_energy depends only on a datum's size and replica count, so
+    # with no failures every algorithm's energy is the same float, bit for bit
+    table = compare_algorithms(small_spec(), ALGORITHMS, [0, 1, 2])
+    assert all(row.failures == 0 and row.placed > 0 for row in table.rows)
+    assert len({row.mean_energy_j.hex() for row in table.rows}) == 1
+    assert len({row.mean_cost_s for row in table.rows}) > 1
 
 
 def test_run_grid_rejects_repeated_seeds_before_any_trial(monkeypatch):
@@ -240,7 +249,7 @@ def test_run_grid_rejects_repeated_seeds_before_any_trial(monkeypatch):
         run_grid(small_spec(), ["hs"], [3, 1, 3])
     with pytest.raises(ConfigError, match="repeat"):
         run_grid(small_spec(), ["hs", "random", "hs"], [3])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ConfigError, match="at least one algorithm and one seed"):
         run_grid(small_spec(), ["hs"], [])
 
 
@@ -249,10 +258,10 @@ def test_check_totals_rejects_tampered_totals():
     check_totals(report.series, report.totals)
     cost = report.totals.mean_cost_s
     for tampered in (cost + 1.0, cost * (1 + 1e-10)):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(MalformedInput, match="totals.mean_cost_s disagrees"):
             check_totals(report.series, dataclasses.replace(report.totals, mean_cost_s=tampered))
     placed = dataclasses.replace(report.totals, placed=report.totals.placed + 1)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(MalformedInput, match="totals counts disagree"):
         check_totals(report.series, placed)
 
 
@@ -272,9 +281,9 @@ def test_csv_header_is_the_documented_contract():
 
 
 def test_csv_parser_rejects_garbage():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(MalformedInput, match="unexpected CSV header"):
         report_from_csv("nope\n1,2\n")
-    with pytest.raises(EmptyInput):
+    with pytest.raises(MalformedInput, match="no timestep rows"):
         report_from_csv(",".join(CSV_HEADER) + "\n")
 
 

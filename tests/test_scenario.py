@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from replica_harmony.errors import ConfigError, Infeasible, UnknownScenario
+from replica_harmony.errors import ConfigError, Infeasible
 from replica_harmony.model import Policy, validate_topology
 from replica_harmony.cost import EnergyParams
 from replica_harmony.scenario import (
@@ -33,7 +33,7 @@ def test_builtin_scenario_sizes():
 
 def test_builtin_scenario_rejects_out_of_range():
     for k in (0, 5, -1):
-        with pytest.raises(UnknownScenario):
+        with pytest.raises(ConfigError, match="unknown builtin scenario"):
             builtin_scenario(k)
 
 
@@ -225,4 +225,3 @@ def test_config_error_is_a_value_error():
     # library callers that catch ValueError keep working
     with pytest.raises(ValueError):
         scenario_from_json("[]")
-    assert issubclass(UnknownScenario, ConfigError)
