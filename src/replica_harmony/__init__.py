@@ -44,7 +44,6 @@ from .optimize import (
     FOAParams,
     GAParams,
     Harmony,
-    HarmonyMemory,
     OptParams,
     OptResult,
     PlacementProblem,

@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algo", action="append", choices=ALGORITHMS, help="repeatable")
         p.add_argument("--seeds", help="count (e.g. 30) or explicit comma list (e.g. 3,7,11)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--hms", type=int, default=10, help="harmony memory size")
+        p.add_argument("--hms", type=int, default=TrialOptions.memory_size_hms, help="harmony memory size")
         p.add_argument("--exercises", type=int, help="fixed exercises per datum")
         p.add_argument("--energy-params", help="JSON file with e_uplink/e_intercloud/e_write")
         p.add_argument(

@@ -113,30 +113,25 @@ class CostModel:
         if not (0 <= g < self._num_gateways):
             raise InvalidAllocation(f"{role} gateway id {g} out of range")
 
-    def _candidate_totals(self, d: DataItem, a: AllocationVector) -> list[tuple[int, float, float, float]]:
+    def _terms(self, d: DataItem, clouds: tuple[int, ...]) -> list[tuple[int, float, list[tuple[float, int]]]]:
+        """(c, entry cost, [(branch cost from c to c2, c2) for every other c2])
+        for each cloud c of clouds, in order, for datum d; ids in range."""
         size = d.size
         gw_wait = self._gw_wait[d.source_gateway]
         entry_row = self._entry_row(d.source_gateway)
         out = []
-        for c in a.clouds:
-            entry = gw_wait + entry_row[c] * size
+        for c in clouds:
             prop_row = self._prop_base[c]
             cloud_wait = self._cloud_wait[c]
-            prop = 0.0
-            for c2 in a.clouds:
-                if c2 == c:
-                    continue
-                branch = cloud_wait + prop_row[c2] * size
-                if branch > prop:
-                    prop = branch
-            out.append((c, entry, prop, entry + prop))
+            branches = [(cloud_wait + prop_row[c2] * size, c2) for c2 in clouds if c2 != c]
+            out.append((c, gw_wait + entry_row[c] * size, branches))
         return out
 
     def total(self, d: DataItem, a: AllocationVector) -> float:
         """Replication cost in seconds; fast path without the breakdown.
 
         One pass over the entry candidates with the expressions of
-        _candidate_totals, keeping the first smallest total as min() does.
+        _terms, keeping the first smallest total as min() does.
         The pass range-checks each cloud id as an entry candidate; an id
         past the end that an inner loop indexes first falls back to
         check_allocation, so the error names the first bad id either way.
@@ -179,7 +174,11 @@ class CostModel:
     def breakdown(self, d: DataItem, a: AllocationVector) -> CostBreakdown:
         check_allocation(self.topology, a)
         self._check_gateway(d.source_gateway, "source")
-        candidates = self._candidate_totals(d, a)
+        candidates = []
+        for c, entry, branches in self._terms(d, a.clouds):
+            # max keeps the first largest, as a running max from 0.0 does
+            prop = max([0.0] + [b for b, _ in branches])
+            candidates.append((c, entry, prop, entry + prop))
         best = min(candidates, key=lambda item: item[3])
         return CostBreakdown(
             entry_cloud=best[0],
@@ -197,10 +196,9 @@ class CostModel:
         entry(c) + the (r-1)-th smallest branch(c, .): O(F^2 log F) for F
         feasible clouds instead of C(F, r) evaluations. Ties go to the
         lexicographically smallest sorted vector, as in an enumeration of
-        the subsets in order. The floats use the expressions of
-        _candidate_totals, and rounded addition is monotone, so
-        entry + max(branches) <= optimum holds exactly when each
-        entry + branch does.
+        the subsets in order. The floats come from _terms, and rounded
+        addition is monotone, so entry + max(branches) <= optimum holds
+        exactly when each entry + branch does.
         """
         if not (1 <= r <= len(feasible)):
             raise ValueError(f"need 1 <= r <= {len(feasible)} feasible clouds, got r={r}")
@@ -209,20 +207,9 @@ class CostModel:
         for c in feasible:
             if not (0 <= c < n):
                 raise InvalidAllocation(f"cloud id {c} out of range [0, {n})")
-        size = d.size
-        gw_wait = self._gw_wait[d.source_gateway]
-        entry_row = self._entry_row(d.source_gateway)
         rows = []
-        for c in feasible:
-            entry = gw_wait + entry_row[c] * size
-            prop_row = self._prop_base[c]
-            cloud_wait = self._cloud_wait[c]
-            branches = [(cloud_wait + prop_row[c2] * size, c2) for c2 in feasible if c2 != c]
-            prop = 0.0
-            if r > 1:
-                kth = sorted(branches)[r - 2][0]
-                if kth > prop:
-                    prop = kth
+        for c, entry, branches in self._terms(d, feasible):
+            prop = max(0.0, sorted(branches)[r - 2][0]) if r > 1 else 0.0
             rows.append((entry + prop, c, entry, branches))
         optimum = min(row[0] for row in rows)
         best = None

@@ -26,7 +26,7 @@ import random
 import sys
 import time
 from dataclasses import astuple, dataclass, field, fields
-from statistics import pstdev
+from statistics import mean, pstdev
 
 from .cost import CostModel, EnergyParams, placement_energy
 from .errors import ConfigError, Infeasible, MalformedInput
@@ -116,7 +116,7 @@ def check_totals(series, totals: RunTotals) -> None:
 
 @dataclass(frozen=True)
 class TrialOptions:
-    memory_size_hms: int = 10
+    memory_size_hms: int = OptParams.memory_size_hms
     exercises: int | None = None  # fixed count; None draws per datum from the spec range
     energy: EnergyParams = field(default_factory=EnergyParams)
 
@@ -208,6 +208,12 @@ def run_trial_detailed(
     """One algorithm on the experiment of (spec, root_seed), built here when omitted."""
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
+    # the largest datum's energy, once per gateway and timestep, must sum to a float
+    r = min(spec.policy.max_replicas, spec.num_clouds)
+    largest = DataItem(0, spec.data_size_range_bytes[1], 0, r)
+    worst = placement_energy(largest, AllocationVector.unchecked(tuple(range(r))), options.energy)
+    if not math.isfinite(worst * spec.num_gateways * spec.timesteps):
+        raise ConfigError("energy overflows a float: lower the energy coefficients or data_size_range_bytes")
     started = time.perf_counter()
     if experiment is None:
         experiment = build_experiment(spec, root_seed)
@@ -348,6 +354,12 @@ def win_rate(a_by_seed, b_by_seed) -> tuple[float, int]:
     return (score / len(paired) if paired else math.nan), len(paired)
 
 
+def _mean(xs: list[float]) -> float:
+    """sum(xs) / len(xs), or the exact statistics.mean when that sum overflows."""
+    total = sum(xs)
+    return total / len(xs) if math.isfinite(total) else mean(xs)
+
+
 def summary_row(algorithm: str, reports) -> ComparisonRow:
     """Mean and population std of the totals of one algorithm's reports."""
     costs = [r.totals.mean_cost_s for r in reports]
@@ -355,11 +367,11 @@ def summary_row(algorithm: str, reports) -> ComparisonRow:
     energies = [r.totals.energy_j for r in reports]
     return ComparisonRow(
         algorithm=algorithm,
-        mean_cost_s=sum(costs) / len(costs),
+        mean_cost_s=_mean(costs),
         std_cost_s=pstdev(costs),
-        mean_delay_s=sum(delays) / len(delays),
+        mean_delay_s=_mean(delays),
         std_delay_s=pstdev(delays),
-        mean_energy_j=sum(energies) / len(energies),
+        mean_energy_j=_mean(energies),
         std_energy_j=pstdev(energies),
         placed=sum(r.totals.placed for r in reports),
         failures=sum(r.totals.failures for r in reports),

@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import Infeasible, SearchSpaceTooLarge
@@ -40,12 +41,10 @@ class PlacementProblem:
         datum: DataItem,
         objective: Callable[[AllocationVector], float],
     ):
-        self.topology = topology
         self.datum = datum
         size = datum.size
-        # free_capacity written out
         self.feasible_clouds: tuple[int, ...] = tuple(
-            [c.id for c in topology.clouds if c.total_capacity - c.used_capacity >= size]
+            [c.id for c in topology.clouds if c.free_capacity >= size]
         )
         if datum.replica_count > len(self.feasible_clouds):
             raise Infeasible(
@@ -64,28 +63,8 @@ class Harmony(NamedTuple):
     cost: float
 
 
-class HarmonyMemory:
-    """Fixed-capacity pool of harmonies kept sorted ascending by cost."""
-
-    def __init__(self, harmonies: Sequence[Harmony]):
-        self.harmonies = sorted(harmonies, key=lambda h: h.cost)
-
-    def __len__(self) -> int:
-        return len(self.harmonies)
-
-    @property
-    def best(self) -> Harmony:
-        return self.harmonies[0]
-
-    @property
-    def worst(self) -> Harmony:
-        return self.harmonies[-1]
-
-    def replace_worst(self, h: Harmony) -> None:
-        """Drop the worst harmony; h goes after every harmony of equal cost,
-        where a stable sort would put it."""
-        self.harmonies.pop()
-        bisect.insort_right(self.harmonies, h, key=lambda x: x.cost)
+# the one sort key of every harmony memory, population and forest
+_by_cost = attrgetter("cost")
 
 
 @dataclass(frozen=True)
@@ -146,8 +125,8 @@ def sample(rng: random.Random, pool: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def roulette_select_pair(memory: HarmonyMemory, rng: random.Random) -> tuple[int, int]:
-    """Two distinct indices; sorted rank k gets weight (size - k + 1)."""
+def roulette_select_pair(memory: Sequence[Harmony], rng: random.Random) -> tuple[int, int]:
+    """Two distinct indices into a cost-sorted memory; rank k gets weight (size - k + 1)."""
     weights = list(range(len(memory), 0, -1))
     first = _roulette_draw(weights, rng)
     weights[first] = 0
@@ -214,33 +193,33 @@ def _mutate_one_position(
 
 def hs_optimize(problem: PlacementProblem, params: OptParams) -> OptResult:
     rng = random.Random(params.seed)
-    memory = HarmonyMemory(
-        [
-            _evaluated(problem, random_allocation(problem, rng))
-            for _ in range(params.memory_size_hms)
-        ]
+    # the harmony memory: a list kept sorted ascending by cost
+    memory = sorted(
+        [_evaluated(problem, random_allocation(problem, rng)) for _ in range(params.memory_size_hms)],
+        key=_by_cost,
     )
     evaluations = params.memory_size_hms
 
     trace = []
     for _ in range(params.exercises):
         i, j = roulette_select_pair(memory, rng)
-        child = combine_harmonies(
-            memory.harmonies[i], memory.harmonies[j], problem.feasible_clouds, rng
-        )
+        child = combine_harmonies(memory[i], memory[j], problem.feasible_clouds, rng)
         # A child already present in the memory explores nothing, and once the
         # memory fills with copies of one harmony every child would be such a
         # repeat and the search would stall; spend the exercise on a fresh
         # random vector instead (the random-selection rule).
-        if any(m.vector.clouds == child.clouds for m in memory.harmonies):
+        if any(m.vector.clouds == child.clouds for m in memory):
             child = random_allocation(problem, rng)
         harmony = _evaluated(problem, child)
         evaluations += 1
-        if harmony.cost < memory.worst.cost:
-            memory.replace_worst(harmony)
-        trace.append(memory.best.cost)
+        if harmony.cost < memory[-1].cost:
+            # the worst goes; the child lands after every harmony of equal
+            # cost, where a stable sort would put it
+            memory.pop()
+            bisect.insort_right(memory, harmony, key=_by_cost)
+        trace.append(memory[0].cost)
 
-    best = memory.best
+    best = memory[0]
     return OptResult(best.vector, best.cost, tuple(trace), evaluations)
 
 
@@ -289,7 +268,7 @@ def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
 
     population = sorted(
         (_evaluated(problem, random_allocation(problem, rng)) for _ in range(pop_size)),
-        key=lambda h: h.cost,
+        key=_by_cost,
     )
     evaluations = pop_size
     best = population[0]
@@ -311,7 +290,7 @@ def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
             h = _evaluated(problem, AllocationVector.unchecked(child))
             evaluations += 1
             next_gen.append(h)
-        population = sorted(next_gen, key=lambda h: h.cost)
+        population = sorted(next_gen, key=_by_cost)
         best = population[0]
         trace.append(best.cost)
 
@@ -332,7 +311,8 @@ class FOAParams:
 
 @dataclass
 class _Tree:
-    harmony: Harmony
+    vector: AllocationVector
+    cost: float
     age: int = 0
 
 
@@ -351,10 +331,10 @@ def foa_optimize(problem: PlacementProblem, params: FOAParams) -> OptResult:
 
     init_size = max(1, min(FOA_AREA_LIMIT, budget))
     forest = [
-        _Tree(_evaluated(problem, random_allocation(problem, rng))) for _ in range(init_size)
+        _Tree(*_evaluated(problem, random_allocation(problem, rng))) for _ in range(init_size)
     ]
     evaluations = init_size
-    best = min(forest, key=lambda t: t.harmony.cost).harmony
+    best = min(forest, key=_by_cost)
     trace = [best.cost]
 
     while evaluations < budget:
@@ -365,8 +345,8 @@ def foa_optimize(problem: PlacementProblem, params: FOAParams) -> OptResult:
             for _ in range(FOA_LOCAL_SEEDING):
                 if evaluations >= budget:
                     break
-                vec = _mutate_one_position(tree.harmony.vector.clouds, feasible, rng)
-                new_trees.append(_Tree(_evaluated(problem, AllocationVector.unchecked(vec))))
+                vec = _mutate_one_position(tree.vector.clouds, feasible, rng)
+                new_trees.append(_Tree(*_evaluated(problem, AllocationVector.unchecked(vec))))
                 evaluations += 1
         for tree in forest:
             tree.age += 1
@@ -374,7 +354,7 @@ def foa_optimize(problem: PlacementProblem, params: FOAParams) -> OptResult:
 
         candidates = [t for t in forest if t.age > FOA_LIFE_TIME]
         forest = [t for t in forest if t.age <= FOA_LIFE_TIME]
-        forest.sort(key=lambda t: t.harmony.cost)
+        forest.sort(key=_by_cost)
         if len(forest) > FOA_AREA_LIMIT:
             candidates.extend(forest[FOA_AREA_LIMIT:])
             forest = forest[:FOA_AREA_LIMIT]
@@ -383,13 +363,13 @@ def foa_optimize(problem: PlacementProblem, params: FOAParams) -> OptResult:
         for _ in range(reseeds):
             if evaluations >= budget:
                 break
-            forest.append(_Tree(_evaluated(problem, random_allocation(problem, rng))))
+            forest.append(_Tree(*_evaluated(problem, random_allocation(problem, rng))))
             evaluations += 1
 
-        forest.sort(key=lambda t: t.harmony.cost)
+        forest.sort(key=_by_cost)
         forest[0].age = 0
-        if forest[0].harmony.cost < best.cost:
-            best = forest[0].harmony
+        if forest[0].cost < best.cost:
+            best = forest[0]
         trace.append(best.cost)
 
     return OptResult(best.vector, best.cost, tuple(trace), evaluations)

@@ -20,7 +20,14 @@ from replica_harmony.errors import (
     MalformedInput,
     SearchSpaceTooLarge,
 )
-from replica_harmony.harness import ALGORITHMS, CSV_HEADER, build_experiment, compare_algorithms, run_trial
+from replica_harmony.harness import (
+    ALGORITHMS,
+    CSV_HEADER,
+    build_experiment,
+    compare_algorithms,
+    csv_text,
+    run_trial,
+)
 from replica_harmony.model import (
     AllocationVector,
     Policy,
@@ -341,6 +348,19 @@ def test_malformed_energy_params_is_a_config_error(tmp_path, capsys, doc, messag
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert message in err and str(params_path) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_energy_params_are_a_config_error(tmp_path, capsys):
+    # finite coefficients whose energy for this spec's data overflows a float
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    params_path = tmp_path / "energy.json"
+    params_path.write_text(json.dumps({"e_write": 1e307}))
+    argv = ["run", "--scenario", str(spec_path), "--energy-params", str(params_path),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "energy coefficients" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -783,6 +803,15 @@ def test_report_rejects_repeated_timestep_without_summary(tmp_path, capsys):
     assert main(["report", str(out)]) == 4
     err = capsys.readouterr().err
     assert csv_path.name in err and "1..T" in err
+
+
+def test_report_means_do_not_overflow(tmp_path, capsys):
+    # two valid trials whose cost sum overflows a float; their mean does not
+    for seed in (0, 1):
+        row = (1, "big", "hs", seed, 1e308, 1.0, 1.0, 1, 0)
+        (tmp_path / f"trial_big_hs_seed{seed}.csv").write_text(csv_text(CSV_HEADER, [row]))
+    assert main(["report", str(tmp_path)]) == 0
+    assert "mean cost (s): hs=1e+308" in capsys.readouterr().out
 
 
 def test_report_rejects_two_files_for_one_trial(tmp_path, capsys):

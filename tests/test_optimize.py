@@ -19,7 +19,6 @@ from replica_harmony.optimize import (
     FOAParams,
     GAParams,
     Harmony,
-    HarmonyMemory,
     OptParams,
     PlacementProblem,
     combine_harmonies,
@@ -196,9 +195,7 @@ def test_every_evaluated_vector_is_distinct_and_feasible(num_clouds, full, repli
 
 
 def test_roulette_first_draw_distribution():
-    memory = HarmonyMemory(
-        [Harmony(AllocationVector((i,)), float(i)) for i in range(3)]
-    )
+    memory = [Harmony(AllocationVector((i,)), float(i)) for i in range(3)]
     rng = random.Random(5)
     counts = Counter()
     draws = 30_000
@@ -213,7 +210,7 @@ def test_roulette_first_draw_distribution():
 
 
 def test_roulette_is_rank_based_on_equal_costs():
-    memory = HarmonyMemory([Harmony(AllocationVector((i,)), 1.0) for i in range(3)])
+    memory = [Harmony(AllocationVector((i,)), 1.0) for i in range(3)]
     rng = random.Random(6)
     counts = Counter()
     draws = 30_000
@@ -258,33 +255,6 @@ def test_combine_always_duplicate_free():
         b = Harmony(random_allocation(problem, rng), 0.0)
         child = combine_harmonies(a, b, problem.feasible_clouds, rng)
         assert len(set(child.clouds)) == len(child.clouds) == 3
-
-
-def test_harmony_memory_sorted_after_replacements():
-    rng = random.Random(8)
-    memory = HarmonyMemory(
-        [Harmony(AllocationVector((i,)), rng.uniform(0, 10)) for i in range(10)]
-    )
-    costs = [h.cost for h in memory.harmonies]
-    assert costs == sorted(costs)
-    for i in range(50):
-        before = sorted(h.cost for h in memory.harmonies)
-        new = Harmony(AllocationVector((i + 10,)), rng.uniform(0, 10))
-        if new.cost < memory.worst.cost:
-            memory.replace_worst(new)
-            after = sorted(h.cost for h in memory.harmonies)
-            # the multiset changed by exactly one element
-            assert len(set_diff(before, after)) == 1
-        costs = [h.cost for h in memory.harmonies]
-        assert costs == sorted(costs)
-
-
-def set_diff(before, after):
-    remaining = list(after)
-    for value in before:
-        if value in remaining:
-            remaining.remove(value)
-    return remaining
 
 
 def test_opt_params_validation():
