@@ -14,7 +14,6 @@ from .errors import (
     InvalidAllocation,
     MalformedInput,
     ReplicaHarmonyError,
-    SearchSpaceTooLarge,
 )
 from .harness import (
     ALGORITHMS,

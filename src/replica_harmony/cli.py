@@ -28,14 +28,13 @@ from .harness import (
     ALGORITHMS,
     ComparisonRow,
     TrialOptions,
-    check_totals,
+    check_summary,
     compare_algorithms,
     csv_text,
     draw_scenario,
     report_from_csv,
     report_to_csv,
     summary_row,
-    totals_from_json,
     totals_to_dict,
     win_rate,
 )
@@ -68,9 +67,10 @@ def resolve_scenario(source: str) -> ScenarioSpec:
 
 def _read_json(path: str, cls):
     """The dataclass cls that a JSON input file holds; a ConfigError names the file."""
+    # ValueError covers ConfigError, UnicodeDecodeError, JSONDecodeError and an int over 4,300 digits
     try:
         return dataclass_from_json(cls, json.loads(Path(path).read_text()))
-    except (ConfigError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -233,7 +233,7 @@ def cmd_report(args) -> int:
         trial_files[trial] = path.name
         summary_path = path.with_suffix(".json")
         if summary_path.exists():
-            _parse_file(summary_path, lambda text: check_totals(report.series, totals_from_json(text)))
+            _parse_file(summary_path, lambda text: check_summary(report, text))
         by_algo = by_scenario.setdefault(report.scenario, {})
         by_algo.setdefault(report.algorithm, []).append(report)
 

@@ -21,14 +21,11 @@ class Infeasible(ReplicaHarmonyError):
     """Fewer feasible clouds than required replicas: exit 3."""
 
 
-class SearchSpaceTooLarge(ReplicaHarmonyError):
-    """Exhaustive enumeration would exceed the configured subset limit: exit 5."""
-
-
 class ConfigError(ReplicaHarmonyError, ValueError):
     """Bad outside input (a scenario, option, seed, algorithm or JSON file, no trial file): exit 2."""
 
 
 class MalformedInput(ReplicaHarmonyError):
     """A trial CSV or JSON summary for report is malformed (a bad header, row
-    or cell, a negative or non-finite value, totals off the series): exit 4."""
+    or cell, a negative or non-finite value, a summary run would not write
+    for its CSV): exit 4."""

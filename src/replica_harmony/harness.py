@@ -24,13 +24,12 @@ import json
 import math
 import random
 import sys
-import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 from statistics import mean, pstdev
 
 from .cost import CostModel, EnergyParams, placement_energy
 from .errors import ConfigError, Infeasible, MalformedInput
-from .model import AllocationVector, DataItem, Topology, commit_placement
+from .model import AllocationVector, DataItem, Topology, commit_placement, json_text
 from .optimize import (
     FOAParams,
     GAParams,
@@ -71,13 +70,6 @@ class RunTotals:
     energy_j: float
     placed: int
     failures: int
-    # measured, not derived from the series; excluded from equality and
-    # never serialized so outputs stay byte-identical across runs
-    wall_clock_s: float = field(default=0.0, compare=False)
-
-
-# the serialized RunTotals fields, in file order
-TOTALS_FIELDS = tuple(f.name for f in fields(RunTotals) if f.compare)
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,7 @@ class RunReport:
     totals: RunTotals
 
 
-def recompute_totals(series, wall_clock_s: float = 0.0) -> RunTotals:
+def recompute_totals(series) -> RunTotals:
     """Totals are a pure function of the series; placements weight the means."""
     placed = sum(rec.placed for rec in series)
     cost = sum(rec.mean_cost_s * rec.placed for rec in series)
@@ -100,18 +92,7 @@ def recompute_totals(series, wall_clock_s: float = 0.0) -> RunTotals:
         energy_j=sum(rec.energy_j for rec in series),
         placed=placed,
         failures=sum(rec.failures for rec in series),
-        wall_clock_s=wall_clock_s,
     )
-
-
-def check_totals(series, totals: RunTotals) -> None:
-    """Raise MalformedInput unless totals are the ones the series implies."""
-    fresh = recompute_totals(series)
-    for name in ("mean_cost_s", "mean_delay_s", "energy_j"):
-        if not math.isclose(getattr(totals, name), getattr(fresh, name), rel_tol=1e-12, abs_tol=1e-15):
-            raise MalformedInput(f"totals.{name} disagrees with the series")
-    if (totals.placed, totals.failures) != (fresh.placed, fresh.failures):
-        raise MalformedInput("totals counts disagree with the series")
 
 
 @dataclass(frozen=True)
@@ -214,7 +195,6 @@ def run_trial_detailed(
     worst = placement_energy(largest, AllocationVector.unchecked(tuple(range(r))), options.energy)
     if not math.isfinite(worst * spec.num_gateways * spec.timesteps):
         raise ConfigError("energy overflows a float: lower the energy coefficients or data_size_range_bytes")
-    started = time.perf_counter()
     if experiment is None:
         experiment = build_experiment(spec, root_seed)
     model = experiment.model
@@ -262,13 +242,12 @@ def run_trial_detailed(
             )
         )
 
-    totals = recompute_totals(series, wall_clock_s=time.perf_counter() - started)
     report = RunReport(
         scenario=spec.name,
         algorithm=algorithm,
         seed=root_seed,
         series=tuple(series),
-        totals=totals,
+        totals=recompute_totals(series),
     )
     return TrialResult(report, current, tuple(placements))
 
@@ -431,7 +410,10 @@ def _check_amount(where: str, value) -> None:
 
 def report_from_csv(text: str) -> RunReport:
     """The trial a CSV holds; MalformedInput says what is wrong with it."""
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:  # a cell over the csv module's field size limit
+        raise MalformedInput(str(exc)) from None
     if not rows or tuple(rows[0]) != CSV_HEADER:
         raise MalformedInput("unexpected CSV header")
     if len(rows) < 2:
@@ -464,21 +446,17 @@ def totals_to_dict(report: RunReport) -> dict:
         "scenario": report.scenario,
         "algorithm": report.algorithm,
         "seed": report.seed,
-        "totals": {name: getattr(report.totals, name) for name in TOTALS_FIELDS},
+        "totals": asdict(report.totals),
     }
 
 
-def totals_from_json(text: str) -> RunTotals:
-    """The totals of a trial JSON summary; MalformedInput says what is wrong."""
+def check_summary(report: RunReport, text: str) -> None:
+    """Raise MalformedInput unless text is the JSON summary run writes for
+    report, up to layout and key order: every key, type and value must match."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(str(exc)) from None
-    totals = doc.get("totals") if isinstance(doc, dict) else None
-    if not isinstance(totals, dict):
-        raise MalformedInput("no totals object")
-    if set(totals) != set(TOTALS_FIELDS):
-        raise MalformedInput(f"totals keys {sorted(totals)} are not {sorted(TOTALS_FIELDS)}")
-    for name, value in totals.items():
-        _check_amount(f"totals.{name}", value)
-    return RunTotals(**totals)
+        same = json_text(json.loads(text)) == json_text(totals_to_dict(report))
+    except (ValueError, RecursionError) as exc:  # not JSON, nested too deep, or an int too long
+        raise MalformedInput(f"not a JSON summary: {exc}") from None
+    if not same:
+        trial = (report.scenario, report.algorithm, report.seed)
+        raise MalformedInput(f"not the summary run writes for trial {trial} of its CSV")

@@ -110,8 +110,12 @@ class AllocationVector:
     clouds: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "clouds", tuple(int(c) for c in self.clouds))
-        _check_distinct(self.clouds)
+        clouds = tuple(self.clouds)
+        for c in clouds:
+            if type(c) is not int:
+                raise InvalidAllocation(f"cloud id {c!r} is not an int")
+        object.__setattr__(self, "clouds", clouds)
+        _check_distinct(clouds)
 
     @classmethod
     def unchecked(cls, clouds: tuple[int, ...]) -> AllocationVector:

@@ -16,14 +16,13 @@ used here.
 from __future__ import annotations
 
 import bisect
-import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import Infeasible, SearchSpaceTooLarge
+from .errors import Infeasible
 from .model import AllocationVector, DataItem, Topology
 
 
@@ -256,6 +255,10 @@ class GAParams:
     budget: int  # evaluation cap; the harness matches it to HS
     seed: int = 0
 
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
+
 
 def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
     rng = random.Random(params.seed)
@@ -264,7 +267,7 @@ def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
 
     # a budget of 1 buys one random vector and no generation; the last
     # generation is cut short where the budget runs out
-    pop_size = max(1, min(GA_POPULATION, params.budget))
+    pop_size = min(GA_POPULATION, params.budget)
 
     population = sorted(
         (_evaluated(problem, random_allocation(problem, rng)) for _ in range(pop_size)),
@@ -308,6 +311,10 @@ class FOAParams:
     budget: int  # evaluation cap; the harness matches it to HS
     seed: int = 0
 
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
+
 
 @dataclass
 class _Tree:
@@ -329,7 +336,7 @@ def foa_optimize(problem: PlacementProblem, params: FOAParams) -> OptResult:
     feasible = problem.feasible_clouds
     budget = params.budget
 
-    init_size = max(1, min(FOA_AREA_LIMIT, budget))
+    init_size = min(FOA_AREA_LIMIT, budget)
     forest = [
         _Tree(*_evaluated(problem, random_allocation(problem, rng))) for _ in range(init_size)
     ]
@@ -375,23 +382,18 @@ def foa_optimize(problem: PlacementProblem, params: FOAParams) -> OptResult:
     return OptResult(best.vector, best.cost, tuple(trace), evaluations)
 
 
-def exhaustive_best(problem: PlacementProblem, limit: int = 100_000) -> OptResult:
+def exhaustive_best(problem: PlacementProblem) -> OptResult:
     """Enumerate every r-subset of the feasible clouds; the global optimum.
 
-    Subset order stands in for vector order (the cost is permutation
-    invariant); ties go to the lexicographically smallest sorted vector.
+    The test oracle for CostModel.best_allocation. Subset order stands in
+    for vector order (the cost is permutation invariant); ties go to the
+    lexicographically smallest sorted vector.
     """
-    r = problem.replica_count
-    feasible = problem.feasible_clouds
-    space = math.comb(len(feasible), r)
-    if space > limit:
-        raise SearchSpaceTooLarge(f"C({len(feasible)},{r}) = {space} exceeds limit {limit}")
-
     best: Harmony | None = None
     trace = []
-    for combo in combinations(feasible, r):
+    for combo in combinations(problem.feasible_clouds, problem.replica_count):
         h = _evaluated(problem, AllocationVector(combo))
         if best is None or h.cost < best.cost:
             best = h
         trace.append(best.cost)
-    return OptResult(best.vector, best.cost, tuple(trace), space)
+    return OptResult(best.vector, best.cost, tuple(trace), len(trace))

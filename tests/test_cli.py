@@ -18,7 +18,6 @@ from replica_harmony.errors import (
     Infeasible,
     InvalidAllocation,
     MalformedInput,
-    SearchSpaceTooLarge,
 )
 from replica_harmony.harness import (
     ALGORITHMS,
@@ -310,18 +309,22 @@ def _edited(doc, drop=(), **changes):
         (lambda d: _edited(d, name="lab\neast"), "name must be printable"),
         (lambda d: _edited(d, arrival_probability=float("nan")), "arrival_probability must be a finite"),
         (lambda d: _edited(d, capacity_range_bytes=[1, float("inf")]), "capacity_range_bytes must be a finite"),
+        (lambda d: "[" * 200_000, "maximum recursion depth exceeded"),
+        (lambda d: '{"seed": ' + "1" * 5000 + "}", "Exceeds the limit (4300 digits)"),
     ],
     ids=[
         "no-name", "list", "policy-no-max", "policy-empty", "policy-list", "policy-unknown",
         "scalar-range", "long-range", "fractional-range", "null-seed", "typo-timestep",
         "typo-arrival", "fractional-timesteps", "bool-gateways", "string-clouds", "number-name",
         "nul-name", "newline-name",
-        "nan", "infinite",
+        "nan", "infinite", "deep", "long-int",
     ],
 )
 def test_malformed_spec_is_a_config_error(tmp_path, capsys, edit, message):
     spec_path = tmp_path / "bad.json"
-    spec_path.write_text(json.dumps(edit(json_doc(write_tiny_scenario(spec_path)))))
+    doc = edit(json_doc(write_tiny_scenario(spec_path)))
+    # a str is the file's text itself
+    spec_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     for command in ("generate", "run"):
         assert main([command, "--scenario", str(spec_path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -335,14 +338,16 @@ def test_malformed_spec_is_a_config_error(tmp_path, capsys, edit, message):
         ([1e-6, 5e-7, 2e-7], "document must be a JSON object"),
         ({"e_uplnk": 5}, "unknown key e_uplnk;"),
         ({"e_write": "x"}, "e_write must be a finite number"),
+        ("[" * 200_000, "maximum recursion depth exceeded"),
     ],
-    ids=["list", "typo", "string"],
+    ids=["list", "typo", "string", "deep"],
 )
 def test_malformed_energy_params_is_a_config_error(tmp_path, capsys, doc, message):
     spec_path = tmp_path / "tiny.json"
     write_tiny_scenario(spec_path)
     params_path = tmp_path / "energy.json"
-    params_path.write_text(json.dumps(doc))
+    # a str is the file's text itself
+    params_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     argv = ["run", "--scenario", str(spec_path), "--energy-params", str(params_path),
             "--out", str(tmp_path / "out")]
     assert main(argv) == 2
@@ -373,7 +378,6 @@ def test_overflowing_energy_params_are_a_config_error(tmp_path, capsys):
         (OSError, 4),
         (InvalidAllocation, 5),
         (CapacityExceeded, 5),
-        (SearchSpaceTooLarge, 5),
         (ValueError, 5),
     ],
     ids=lambda value: value.__name__ if isinstance(value, type) else str(value),
@@ -727,10 +731,29 @@ def _stringify_cost(doc):
     doc["totals"]["mean_cost_s"] = str(doc["totals"]["mean_cost_s"])
 
 
+def _float_placed(doc):
+    doc["totals"]["placed"] = float(doc["totals"]["placed"])
+
+
+def _nudge_cost(doc):
+    cost = doc["totals"]["mean_cost_s"]
+    doc["totals"]["mean_cost_s"] = cost * (1 + 1e-13)
+    assert doc["totals"]["mean_cost_s"] != cost
+
+
 @pytest.mark.parametrize(
     "tamper",
-    [_drop_totals, _drop_placed, _add_unknown, _stringify_cost],
-    ids=["no-totals", "missing-key", "unknown-key", "non-number"],
+    [
+        _drop_totals, _drop_placed, _add_unknown, _stringify_cost,
+        lambda doc: doc.update(scenario="elsewhere"),
+        lambda doc: doc.update(algorithm="ga"),
+        lambda doc: doc.update(seed=99),
+        _float_placed,
+        _nudge_cost,
+        lambda doc: "[" * 200_000,
+    ],
+    ids=["no-totals", "missing-key", "unknown-key", "non-number", "other-scenario",
+         "other-algorithm", "other-seed", "float-placed", "nudged-cost", "deep"],
 )
 def test_report_rejects_malformed_summary(tmp_path, capsys, tamper):
     spec_path = tmp_path / "tiny.json"
@@ -739,10 +762,24 @@ def test_report_rejects_malformed_summary(tmp_path, capsys, tamper):
     assert main(["run", "--scenario", str(spec_path), "--algo", "hs", "--out", str(out)]) == 0
     summary_path = next(out.glob("trial_*.json"))
     doc = json.loads(summary_path.read_text())
-    tamper(doc)
-    summary_path.write_text(json.dumps(doc))
+    # a tamper edits doc in place, or returns the file's new text
+    summary_path.write_text(tamper(doc) or json.dumps(doc))
     assert main(["report", str(out)]) == 4
     assert summary_path.name in capsys.readouterr().err
+
+
+def test_report_accepts_a_summary_in_any_layout(tmp_path, capsys):
+    # only keys, types and values must match the summary run writes
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    out = tmp_path / "runs"
+    assert main(["run", "--scenario", str(spec_path), "--algo", "hs", "--out", str(out)]) == 0
+    summary_path = next(out.glob("trial_*.json"))
+    doc = json.loads(summary_path.read_text())
+    doc["totals"] = dict(reversed(doc["totals"].items()))
+    summary_path.write_text(json.dumps(dict(reversed(doc.items()))))
+    assert main(["report", str(out)]) == 0
+    assert "scenario tiny (1 trials)" in capsys.readouterr().out
 
 
 def _set_cell(column, value):
@@ -772,9 +809,10 @@ def _short_row(text):
         _set_cell(CSV_HEADER.index("mean_delay_s"), "inf"),
         _set_cell(CSV_HEADER.index("mean_cost_s"), "-1.0"),
         _set_cell(CSV_HEADER.index("placed"), "-5"),
+        _set_cell(CSV_HEADER.index("scenario"), "x" * 200_000),
     ],
     ids=["header", "short-row", "non-number", "header-only", "long-row",
-         "nan-cost", "inf-delay", "negative-cost", "negative-placed"],
+         "nan-cost", "inf-delay", "negative-cost", "negative-placed", "oversized-cell"],
 )
 def test_report_rejects_malformed_trial_csv(tmp_path, capsys, tamper):
     spec_path = tmp_path / "tiny.json"

@@ -15,7 +15,7 @@ from replica_harmony.harness import (
     TimestepRecord,
     TrialOptions,
     build_experiment,
-    check_totals,
+    check_summary,
     compare_algorithms,
     recompute_totals,
     report_from_csv,
@@ -26,7 +26,7 @@ from replica_harmony.harness import (
     totals_to_dict,
     win_rate,
 )
-from replica_harmony.model import Policy
+from replica_harmony.model import Policy, json_text
 from replica_harmony.optimize import PlacementProblem
 from replica_harmony.scenario import ScenarioSpec, builtin_scenario
 
@@ -55,15 +55,13 @@ def test_run_trial_shape_and_totals():
     assert report.totals.placed + report.totals.failures == sum(
         rec.placed + rec.failures for rec in report.series
     )
-    assert report.totals.wall_clock_s > 0.0
 
 
 def test_run_trial_deterministic_despite_wall_clock():
     spec = small_spec()
     first = run_trial(spec, "ga", 5)
     second = run_trial(spec, "ga", 5)
-    assert first == second  # wall clock differs but is excluded from equality
-    assert first.totals.wall_clock_s > 0.0 and second.totals.wall_clock_s > 0.0
+    assert first == second
 
 
 def test_run_trial_rejects_unknown_algorithm():
@@ -255,14 +253,14 @@ def test_run_grid_rejects_repeated_seeds_before_any_trial(monkeypatch):
 
 def test_check_totals_rejects_tampered_totals():
     report = run_trial(small_spec(), "hs", 2)
-    check_totals(report.series, report.totals)
+    check_summary(report, json_text(totals_to_dict(report)))
     cost = report.totals.mean_cost_s
-    for tampered in (cost + 1.0, cost * (1 + 1e-10)):
-        with pytest.raises(MalformedInput, match="totals.mean_cost_s disagrees"):
-            check_totals(report.series, dataclasses.replace(report.totals, mean_cost_s=tampered))
-    placed = dataclasses.replace(report.totals, placed=report.totals.placed + 1)
-    with pytest.raises(MalformedInput, match="totals counts disagree"):
-        check_totals(report.series, placed)
+    tampers = [{"mean_cost_s": cost + 1.0}, {"mean_cost_s": cost * (1 + 1e-10)}]
+    tampers.append({"placed": report.totals.placed + 1})
+    for change in tampers:
+        tampered = dataclasses.replace(report, totals=dataclasses.replace(report.totals, **change))
+        with pytest.raises(MalformedInput, match="not the summary run writes"):
+            check_summary(report, json_text(totals_to_dict(tampered)))
 
 
 def test_csv_round_trip():
@@ -285,13 +283,6 @@ def test_csv_parser_rejects_garbage():
         report_from_csv("nope\n1,2\n")
     with pytest.raises(MalformedInput, match="no timestep rows"):
         report_from_csv(",".join(CSV_HEADER) + "\n")
-
-
-def test_totals_json_excludes_wall_clock():
-    report = run_trial(small_spec(timesteps=5), "hs", 1)
-    doc = totals_to_dict(report)
-    assert "wall_clock_s" not in doc["totals"]
-    assert doc["totals"]["placed"] == report.totals.placed
 
 
 def test_algorithm_registry():

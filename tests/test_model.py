@@ -39,6 +39,10 @@ def test_allocation_vector_rejects_duplicates_and_empty():
         AllocationVector((1, 2, 1))
     with pytest.raises(InvalidAllocation):
         AllocationVector(())
+    # an id that is not an int is named, never truncated or parsed
+    for clouds, bad in (((0, 1.7), "1.7"), (("1", "2"), "'1'"), ((0, True), "True")):
+        with pytest.raises(InvalidAllocation, match=f"cloud id {bad} is not an int"):
+            AllocationVector(clouds)
     vec = AllocationVector((3, 0, 2))
     assert len(vec) == 3
     assert list(vec) == [3, 0, 2]

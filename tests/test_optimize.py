@@ -6,7 +6,7 @@ import pytest
 
 from replica_harmony import optimize
 from replica_harmony.cost import CostModel
-from replica_harmony.errors import Infeasible, SearchSpaceTooLarge
+from replica_harmony.errors import Infeasible
 from replica_harmony.model import (
     AllocationVector,
     DataItem,
@@ -262,6 +262,11 @@ def test_opt_params_validation():
         OptParams(exercises=5, memory_size_hms=1)
     with pytest.raises(ValueError):
         OptParams(exercises=0)
+    # a budget below 1 would still buy one evaluation, more than it allows
+    for params in (GAParams, FOAParams):
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                params(budget)
 
 
 def test_hs_single_point_space():
@@ -384,12 +389,6 @@ def test_exhaustive_counts_subsets():
     result = exhaustive_best(problem)
     assert result.evaluations == 6
     assert len(result.trace) == 6
-
-
-def test_exhaustive_limit():
-    problem = make_problem(17, num_clouds=8, replicas=3)
-    with pytest.raises(SearchSpaceTooLarge):
-        exhaustive_best(problem, limit=55)
 
 
 def test_exhaustive_tie_break_is_lexicographic():
