@@ -75,19 +75,17 @@ class CostModel:
         self._num_clouds = t.num_clouds
         self._uplink = t.links.gw_to_cloud
         cc = t.links.cloud_to_cloud
-        self._gw_wait = tuple(g.waiting_time_s for g in t.gateways)
-        self._cloud_wait = tuple(c.waiting_time_s for c in t.clouds)
-        self._gw_read = tuple(g.read_delay_ms / MS_PER_S for g in t.gateways)
-        self._cloud_read = tuple(c.read_delay_ms / MS_PER_S for c in t.clouds)
-        self._cloud_write = tuple(c.write_delay_ms / MS_PER_S for c in t.clouds)
+        self._gw_wait = tuple([g.waiting_time_s for g in t.gateways])
+        self._cloud_wait = tuple([c.waiting_time_s for c in t.clouds])
+        self._gw_read = tuple([g.read_delay_ms / MS_PER_S for g in t.gateways])
+        self._cloud_read = tuple([c.read_delay_ms / MS_PER_S for c in t.clouds])
+        self._cloud_write = tuple([c.write_delay_ms / MS_PER_S for c in t.clouds])
         # prop_base[c][c2] = 1/B_cc2 + R_c + W_c2, seconds per byte; diagonal unused
-        self._prop_base = tuple(
-            tuple(
-                0.0 if c == c2 else 1.0 / b + r + w
-                for c2, (b, w) in enumerate(zip(cc[c], self._cloud_write))
-            )
+        self._prop_base = tuple([
+            tuple([0.0 if c == c2 else 1.0 / b + r + w
+                   for c2, (b, w) in enumerate(zip(cc[c], self._cloud_write))])
             for c, r in enumerate(self._cloud_read)
-        )
+        ])
         # one slot per gateway, filled by _entry_row and _read_row
         self._entry_rows: list[tuple[float, ...] | None] = [None] * t.num_gateways
         self._read_rows: list[tuple[float, ...] | None] = [None] * t.num_gateways
@@ -97,7 +95,7 @@ class CostModel:
         row = self._entry_rows[g]
         if row is None:
             rg = self._gw_read[g]
-            row = tuple(1.0 / b + rg + w for b, w in zip(self._uplink[g], self._cloud_write))
+            row = tuple([1.0 / b + rg + w for b, w in zip(self._uplink[g], self._cloud_write)])
             self._entry_rows[g] = row
         return row
 
@@ -105,7 +103,7 @@ class CostModel:
         """Read row of gateway g: 1/B_gc + R_c per cloud c, seconds per byte; g in range."""
         row = self._read_rows[g]
         if row is None:
-            row = tuple(1.0 / b + r for b, r in zip(self._uplink[g], self._cloud_read))
+            row = tuple([1.0 / b + r for b, r in zip(self._uplink[g], self._cloud_read)])
             self._read_rows[g] = row
         return row
 

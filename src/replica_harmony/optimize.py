@@ -42,8 +42,9 @@ class PlacementProblem:
     ):
         self.datum = datum
         size = datum.size
+        # MiniCloud.free_capacity's expression, read inline: no property call per cloud
         self.feasible_clouds: tuple[int, ...] = tuple(
-            [c.id for c in topology.clouds if c.free_capacity >= size]
+            [c.id for c in topology.clouds if c.total_capacity - c.used_capacity >= size]
         )
         if datum.replica_count > len(self.feasible_clouds):
             raise Infeasible(

@@ -9,7 +9,9 @@ are sized so scenario 1 stresses but rarely exhausts capacity over a full
 run. Every field is overridable.
 
 Generation draws in a pinned order (gateways, clouds, then link rows), so
-a spec plus a seed reproduces a topology bit-for-bit.
+a spec plus a seed reproduces a topology bit-for-bit. The G*C + C*(C-1)
+link rates are drawn inline as lo + (hi - lo) * random(), which is the body
+of Random.uniform, so each equals the rng.uniform(lo, hi) draw it replaces.
 """
 
 # No `from __future__ import annotations` here: ScenarioSpec's field types
@@ -108,15 +110,12 @@ def generate_topology(spec: ScenarioSpec, rng: random.Random) -> Topology:
         )
         for c in range(spec.num_clouds)
     )
-    gw_to_cloud = [
-        [rng.uniform(*spec.gw_rate_range_bytes_per_s) for _ in range(spec.num_clouds)]
-        for _ in range(spec.num_gateways)
-    ]
+    draw = rng.random  # see the module docstring
+    lo, hi = spec.gw_rate_range_bytes_per_s
+    gw_to_cloud = [[lo + (hi - lo) * draw() for _ in range(spec.num_clouds)] for _ in range(spec.num_gateways)]
+    lo, hi = spec.cloud_rate_range_bytes_per_s
     cloud_to_cloud = [
-        [
-            0.0 if a == b else rng.uniform(*spec.cloud_rate_range_bytes_per_s)
-            for b in range(spec.num_clouds)
-        ]
+        [0.0 if a == b else lo + (hi - lo) * draw() for b in range(spec.num_clouds)]
         for a in range(spec.num_clouds)
     ]
     return Topology(gateways, clouds, LinkMatrix(gw_to_cloud, cloud_to_cloud))

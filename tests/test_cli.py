@@ -890,13 +890,21 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def perfbench_tracing():
+    """perfbench/tracing.py, loaded without installing its wrappers."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_perfbench_tracer_names_resolve():
     # the benchmark's layer tracer wraps these names on the imported package;
     # one that no longer resolves breaks its traced runs
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = perfbench_tracing()
     modules = {name: getattr(replica_harmony, name) for name in tracing.MODULES}
     for module, attr, *_ in tracing.FUNCTIONS:
         assert callable(getattr(modules[module], attr, None)), f"{module}.{attr}"
@@ -909,7 +917,6 @@ def test_perfbench_tracer_counts_every_evaluation(tmp_path, monkeypatch):
     # CostModel.total call. The tracer rewrites package globals for the rest
     # of its process, so the job runs in a child process.
     monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
-    root = Path(__file__).resolve().parent.parent
     spec_path = tmp_path / "tiny.json"
     write_tiny_scenario(spec_path, capacity_range_bytes=(1e9, 2e9))
     out = tmp_path / "out"
@@ -917,7 +924,7 @@ def test_perfbench_tracer_counts_every_evaluation(tmp_path, monkeypatch):
     argv = ["run", "--scenario", str(spec_path), "--algo", "hs", "--hms", "4",
             "--exercises", "3", "--out", str(out)]
     subprocess.run(
-        [sys.executable, str(root / "perfbench" / "job.py"), str(tmp_path / "stamp.json"),
+        [sys.executable, str(ROOT / "perfbench" / "job.py"), str(tmp_path / "stamp.json"),
          str(trace_path), *argv],
         check=True, cwd=tmp_path, timeout=120,
     )
@@ -927,3 +934,39 @@ def test_perfbench_tracer_counts_every_evaluation(tmp_path, monkeypatch):
     assert totals["failures"] == 0
     assert layers["cost.eval"]["calls"] == (4 + 3) * totals["placed"]
     assert layers["model.commit"]["calls"] == totals["placed"]
+
+
+def test_perfbench_traced_compare_sees_every_hook(tmp_path, monkeypatch):
+    # The tracer's hooks: generate_topology, CostModel.__init__,
+    # PlacementProblem(topology, datum, objective) opening each datum,
+    # CostModel.total on vectors with .clouds, and the harness committing
+    # through commit_placement. A job run in a child process, since the
+    # tracer rewrites package globals, must see each of them.
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    spec_path = tmp_path / "tiny.json"
+    # little capacity, so that some data fail as well
+    write_tiny_scenario(spec_path, capacity_range_bytes=(150.0, 400.0))
+    out = tmp_path / "out"
+    stamp_path, trace_path = tmp_path / "stamp.json", tmp_path / "trace.json"
+    argv = ["compare", "--scenario", str(spec_path), "--algo", "hs", "--algo", "random",
+            "--seeds", "0,1", "--out", str(out)]
+    job = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "job.py"), str(stamp_path), str(trace_path), *argv],
+        cwd=tmp_path, timeout=120,
+    )
+    assert job.returncode == 0
+    assert json.loads(stamp_path.read_text())["exit_code"] == 0
+    trace = json.loads(trace_path.read_text())
+    metrics = perfbench_tracing().layer_metrics(trace)
+    with open(out / "comparison.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    placed = sum(int(row["placed"]) for row in rows)
+    failures = sum(int(row["failures"]) for row in rows)
+    assert placed > 0 and failures > 0
+    assert metrics["cost.evals"] > 0
+    assert metrics["harness.place_samples"] == placed + failures
+    assert metrics["model.commit_calls"] == placed
+    assert metrics["optimize.infeasible"] == failures
+    # one topology and one cost model per seed
+    assert trace["layers"]["cost.setup"]["calls"] == 2
+    assert trace["layers"]["scenario.generate"]["calls"] == 2 * 2

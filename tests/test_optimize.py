@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from collections import Counter
 
@@ -14,6 +15,7 @@ from replica_harmony.model import (
     LinkMatrix,
     MiniCloud,
     Topology,
+    commit_placement,
 )
 from replica_harmony.optimize import (
     FOAParams,
@@ -90,6 +92,45 @@ def test_placement_problem_excludes_full_clouds():
     d = DataItem(0, 50.0, 0, 2)
     problem = PlacementProblem(crowded, d, CostModel(crowded).objective(d))
     assert problem.feasible_clouds == (1, 2, 3)
+
+
+def feasible_by_property(t: Topology, size: float) -> tuple[int, ...]:
+    return tuple(c.id for c in t.clouds if c.free_capacity >= size)
+
+
+def test_placement_problem_scan_agrees_with_free_capacity_at_the_boundary():
+    rng = random.Random(5)
+    t = make_topology(rng, 2, 4, capacity=(100.0, 100.0))
+    t = commit_placement(t, DataItem(0, 30.0, 0, 2), AllocationVector((0, 1)))
+    t = commit_placement(t, DataItem(1, 20.0, 1, 2), AllocationVector((1, 2)))
+    assert [c.free_capacity for c in t.clouds] == [70.0, 50.0, 80.0, 100.0]
+
+    def feasible(size):
+        d = DataItem(99, size, 0, 1)
+        try:
+            return PlacementProblem(t, d, CostModel(t).objective(d)).feasible_clouds
+        except Infeasible:
+            return ()
+
+    assert feasible(50.0) == (0, 1, 2, 3)  # free == size
+    assert feasible(51.0) == (0, 2, 3)  # one byte short
+    assert feasible(100.0) == (3,)
+    for size in (0.5, 49.0, 50.0, 51.0, 69.5, 70.0, 80.0, 100.0):
+        assert feasible(size) == feasible_by_property(t, size)
+
+    # random capacities and sizes, so free capacity carries rounding, and a
+    # size at each cloud's free capacity and one ulp above it
+    t = make_topology(rng, 3, 12)
+    for i in range(40):
+        size = float(rng.randint(2_000, 9_000)) + rng.random()
+        if len(feasible_by_property(t, size)) < 3:
+            break
+        t = commit_placement(t, DataItem(i, size, 0, 3),
+                             AllocationVector(tuple(rng.sample(feasible_by_property(t, size), 3))))
+    for c in t.clouds:
+        for size in (c.free_capacity, math.nextafter(c.free_capacity, math.inf)):
+            assert feasible(size) == feasible_by_property(t, size)
+            assert (c.id in feasible(size)) == (size == c.free_capacity)
 
 
 def test_random_allocation_contract():

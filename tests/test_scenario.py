@@ -6,7 +6,15 @@ import random
 import pytest
 
 from replica_harmony.errors import ConfigError, Infeasible
-from replica_harmony.model import Policy, validate_topology
+from replica_harmony.model import (
+    Gateway,
+    LinkMatrix,
+    MiniCloud,
+    Policy,
+    Topology,
+    topology_to_json,
+    validate_topology,
+)
 from replica_harmony.cost import EnergyParams
 from replica_harmony.scenario import (
     BUILTIN_SIZES,
@@ -94,6 +102,55 @@ def test_generate_topology_degenerate_ranges():
     assert all(g.read_delay_ms == 30.0 and g.waiting_time_s == 0.4 for g in t.gateways)
     assert all(c.total_capacity == 70_000.0 for c in t.clouds)
     assert all(rate == 1000.0 for row in t.links.gw_to_cloud for rate in row)
+
+
+def uniform_topology(spec: ScenarioSpec, rng: random.Random) -> Topology:
+    """generate_topology as written with rng.uniform for every draw: the
+    reference the inlined link-rate draws must reproduce bit for bit."""
+    delay, wait = spec.rw_delay_range_ms_per_byte, spec.waiting_time_range_s
+    gateways = tuple(
+        Gateway(g, rng.uniform(*delay), rng.uniform(*wait)) for g in range(spec.num_gateways)
+    )
+    clouds = tuple(
+        MiniCloud(c, rng.uniform(*delay), rng.uniform(*delay), rng.uniform(*wait),
+                  rng.uniform(*spec.capacity_range_bytes))
+        for c in range(spec.num_clouds)
+    )
+    gw_to_cloud = [
+        [rng.uniform(*spec.gw_rate_range_bytes_per_s) for _ in range(spec.num_clouds)]
+        for _ in range(spec.num_gateways)
+    ]
+    cloud_to_cloud = [
+        [0.0 if a == b else rng.uniform(*spec.cloud_rate_range_bytes_per_s)
+         for b in range(spec.num_clouds)]
+        for a in range(spec.num_clouds)
+    ]
+    return Topology(gateways, clouds, LinkMatrix(gw_to_cloud, cloud_to_cloud))
+
+
+REFERENCE_SPECS = [builtin_scenario(k) for k in (1, 2, 3, 4)] + [
+    ScenarioSpec(name="wide", num_gateways=400, num_clouds=120, timesteps=3),
+    ScenarioSpec(
+        name="degenerate",
+        num_gateways=3,
+        num_clouds=4,
+        gw_rate_range_bytes_per_s=(1000.0, 1000.0),
+        cloud_rate_range_bytes_per_s=(2000.0, 2000.0),
+        capacity_range_bytes=(70_000.0, 70_000.0),
+    ),
+]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda spec: spec.name)
+def test_generate_topology_matches_uniform_reference(spec):
+    for seed in (0, 1, 2):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        topology = generate_topology(spec, rng)
+        reference = uniform_topology(spec, reference_rng)
+        assert topology == reference
+        assert topology_to_json(topology) == topology_to_json(reference)
+        # the same number of draws was taken
+        assert rng.random() == reference_rng.random()
 
 
 def test_workload_forced_and_empty():
