@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import astuple, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .cost import EnergyParams
@@ -32,6 +32,7 @@ from .harness import (
     compare_algorithms,
     csv_text,
     draw_scenario,
+    field_values,
     report_from_csv,
     report_to_csv,
     summary_row,
@@ -49,6 +50,9 @@ EXIT_INTERNAL = 5
 ERROR_EXITS = ((ConfigError, 2), (Infeasible, 3), ((MalformedInput, OSError), 4))
 
 SEED_ENV_VAR = "REPLICA_HARMONY_SEED"
+
+# a comparison.csv row's cells after the scenario
+_row_values = field_values(ComparisonRow)
 
 # plot metric -> the TimestepRecord field its curve averages over seeds
 PLOT_FIELDS = {"cost": "mean_cost_s", "delay": "mean_delay_s", "energy": "energy_j"}
@@ -195,7 +199,7 @@ def cmd_compare(args) -> int:
     for spec, slug in zip(specs, slugs):
         seeds = resolve_seeds(args.seeds, _env_seed(spec.seed))
         table = compare_algorithms(spec, args.algo, seeds, options)
-        comparison_rows += [(spec.name, *astuple(row)) for row in table.rows]
+        comparison_rows += [(spec.name, *_row_values(row)) for row in table.rows]
         win_rows += [(spec.name, a, b, rate) for (a, b), rate in sorted(table.win_rates.items())]
         for metric in PLOT_FIELDS:
             plots[f"plot_{slug}_{metric}.csv"] = _plot_csv(table.reports, list(args.algo), seeds, metric)

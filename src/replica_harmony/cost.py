@@ -65,8 +65,8 @@ class CostModel:
     adds the R/1000 and W/1000 terms, computed once, left to right as the
     formula above does, so results are bit-identical to a naive evaluation.
     The cloud-to-cloud table is built up front; a gateway's entry and read
-    rows are built on first use. Ids are range-checked before any row is
-    built.
+    rows, and a cloud's propagation order for best_allocation, are built on
+    first use. Ids are range-checked before any row is built.
     """
 
     def __init__(self, t: Topology):
@@ -89,6 +89,9 @@ class CostModel:
         # one slot per gateway, filled by _entry_row and _read_row
         self._entry_rows: list[tuple[float, ...] | None] = [None] * t.num_gateways
         self._read_rows: list[tuple[float, ...] | None] = [None] * t.num_gateways
+        # one slot per cloud, filled by best_allocation: the other cloud ids
+        # by prop_base[c], cheapest first
+        self._orders: list[tuple[int, ...] | None] = [None] * t.num_clouds
 
     def _entry_row(self, g: int) -> tuple[float, ...]:
         """Entry row of gateway g: 1/B_gc + R_g + W_c per cloud c, seconds per byte; g in range."""
@@ -111,25 +114,11 @@ class CostModel:
         if not (0 <= g < self._num_gateways):
             raise InvalidAllocation(f"{role} gateway id {g} out of range")
 
-    def _terms(self, d: DataItem, clouds: tuple[int, ...]) -> list[tuple[int, float, list[tuple[float, int]]]]:
-        """(c, entry cost, [(branch cost from c to c2, c2) for every other c2])
-        for each cloud c of clouds, in order, for datum d; ids in range."""
-        size = d.size
-        gw_wait = self._gw_wait[d.source_gateway]
-        entry_row = self._entry_row(d.source_gateway)
-        out = []
-        for c in clouds:
-            prop_row = self._prop_base[c]
-            cloud_wait = self._cloud_wait[c]
-            branches = [(cloud_wait + prop_row[c2] * size, c2) for c2 in clouds if c2 != c]
-            out.append((c, gw_wait + entry_row[c] * size, branches))
-        return out
-
     def total(self, d: DataItem, a: AllocationVector) -> float:
         """Replication cost in seconds; fast path without the breakdown.
 
         One pass over the entry candidates with the expressions of
-        _terms, keeping the first smallest total as min() does.
+        breakdown, keeping the first smallest total as min() does.
         The pass range-checks each cloud id as an entry candidate; an id
         past the end that an inner loop indexes first falls back to
         check_allocation, so the error names the first bad id either way.
@@ -172,10 +161,16 @@ class CostModel:
     def breakdown(self, d: DataItem, a: AllocationVector) -> CostBreakdown:
         check_allocation(self.topology, a)
         self._check_gateway(d.source_gateway, "source")
+        size = d.size
+        gw_wait = self._gw_wait[d.source_gateway]
+        entry_row = self._entry_row(d.source_gateway)
         candidates = []
-        for c, entry, branches in self._terms(d, a.clouds):
+        for c in a.clouds:
+            entry = gw_wait + entry_row[c] * size
+            prop_row = self._prop_base[c]
+            cloud_wait = self._cloud_wait[c]
             # max keeps the first largest, as a running max from 0.0 does
-            prop = max([0.0] + [b for b, _ in branches])
+            prop = max([0.0] + [cloud_wait + prop_row[c2] * size for c2 in a.clouds if c2 != c])
             candidates.append((c, entry, prop, entry + prop))
         best = min(candidates, key=lambda item: item[3])
         return CostBreakdown(
@@ -187,35 +182,77 @@ class CostModel:
         )
 
     def best_allocation(self, d: DataItem, feasible: tuple[int, ...], r: int) -> AllocationVector:
-        """Exact minimizer of total() over the r-subsets of the cloud ids in feasible.
+        """Exact minimizer of total() over the r-subsets of the distinct cloud ids in feasible.
 
         With c as entry cloud, the cheapest subset adds the r-1 clouds of
         smallest branch cost, so the optimum is the minimum over c of
-        entry(c) + the (r-1)-th smallest branch(c, .): O(F^2 log F) for F
-        feasible clouds instead of C(F, r) evaluations. Ties go to the
+        entry(c) + max(0, the (r-1)-th smallest branch(c, .)). A branch is
+        T_c + prop_base[c][c2] * L, and rounded + and * are monotone for
+        L >= 0, so every datum ranks c's branches in one order, built on
+        first use: the (r-1)-th feasible cloud in it gives that
+        branch, in O(F * r) for F feasible clouds. Ties go to the
         lexicographically smallest sorted vector, as in an enumeration of
-        the subsets in order. The floats come from _terms, and rounded
-        addition is monotone, so entry + max(branches) <= optimum holds
-        exactly when each entry + branch does.
+        the subsets in order; only entry clouds that reach the optimum are
+        searched for them. The floats are total()'s, so entry + branch <=
+        optimum holds exactly for a prefix of the order that covers the
+        (r-1)-th feasible cloud.
         """
         if not (1 <= r <= len(feasible)):
             raise ValueError(f"need 1 <= r <= {len(feasible)} feasible clouds, got r={r}")
+        size = d.size
+        if not size >= 0:
+            raise ValueError(f"datum size must be >= 0, got {size}")
         self._check_gateway(d.source_gateway, "source")
         n = self._num_clouds
         for c in feasible:
             if not (0 <= c < n):
                 raise InvalidAllocation(f"cloud id {c} out of range [0, {n})")
+        allowed = set(feasible)
+        if len(allowed) < len(feasible):
+            raise InvalidAllocation(f"duplicate cloud ids in feasible {feasible}")
+        gw_wait = self._gw_wait[d.source_gateway]
+        entry_row = self._entry_row(d.source_gateway)
+        prop_base = self._prop_base
+        cloud_waits = self._cloud_wait
+        orders = self._orders
+        # with every cloud feasible, the (r-1)-th feasible cloud is order[r-2]
+        walk = len(allowed) < n
         rows = []
-        for c, entry, branches in self._terms(d, feasible):
-            prop = max(0.0, sorted(branches)[r - 2][0]) if r > 1 else 0.0
-            rows.append((entry + prop, c, entry, branches))
-        optimum = min(row[0] for row in rows)
+        for c in feasible:
+            entry = gw_wait + entry_row[c] * size
+            prop = 0.0
+            if r > 1:
+                order = orders[c]
+                if order is None:
+                    others = [c2 for c2 in range(n) if c2 != c]
+                    order = orders[c] = tuple(sorted(others, key=prop_base[c].__getitem__))
+                if walk:
+                    left = r - 1
+                    for c2 in order:
+                        if c2 in allowed:
+                            left -= 1
+                            if not left:
+                                break
+                else:
+                    c2 = order[r - 2]
+                prop = max(0.0, cloud_waits[c] + prop_base[c][c2] * size)
+            rows.append((entry + prop, c, entry))
+        optimum = min([row[0] for row in rows])
         best = None
-        for cand, c, entry, branches in rows:
+        for cand, c, entry in rows:
             if cand != optimum:
                 continue
             # with entry cloud c, any r-1 of these clouds reach the optimum
-            ties = sorted(c2 for b, c2 in branches if entry + b <= optimum)
+            ties = []
+            if r > 1:
+                prop_row = prop_base[c]
+                cloud_wait = cloud_waits[c]
+                for c2 in orders[c]:
+                    if c2 in allowed:
+                        if entry + (cloud_wait + prop_row[c2] * size) > optimum:
+                            break
+                        ties.append(c2)
+            ties.sort()
             vector = tuple(sorted((c, *ties[: r - 1])))
             if best is None or vector < best:
                 best = vector

@@ -24,12 +24,14 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from operator import attrgetter
 from statistics import mean, pstdev
 
 from .cost import CostModel, EnergyParams, placement_energy
 from .errors import ConfigError, Infeasible, MalformedInput
-from .model import AllocationVector, DataItem, Topology, commit_placement, json_text
+from .model import AllocationVector, DataItem, Topology, commit_placement, json_doc, json_text
 from .optimize import (
     FOAParams,
     GAParams,
@@ -57,10 +59,17 @@ class TimestepRecord:
     failures: int
 
 
+def field_values(cls) -> attrgetter:
+    """A function from a cls instance to its field values in field order;
+    it reads each field once, where dataclasses.astuple deep-copies them."""
+    return attrgetter(*(f.name for f in fields(cls)))
+
+
 # a trial CSV row: the timestep, the trial it belongs to, then the record
 CSV_HEADER = (
     "timestep", "scenario", "algorithm", "seed", *(f.name for f in fields(TimestepRecord)[1:])
 )
+_record_values = field_values(TimestepRecord)
 
 
 @dataclass(frozen=True)
@@ -113,15 +122,26 @@ class Experiment:
     """What (spec, root_seed) fixes for every algorithm.
 
     exercises and requesters hold one entry per datum, indexed by its
-    position in the workload; a trial uses TrialOptions.exercises in place
-    of the drawn count when that is set.
+    position in the workload. The exercise counts are drawn on first use,
+    so a run that never reads one (exhaustive, or a fixed
+    TrialOptions.exercises used in place of the drawn count) draws none.
     """
 
+    spec: ScenarioSpec
+    root_seed: int
     topology: Topology
     workload: tuple[DataItem, ...]
     model: CostModel = field(compare=False)  # a function of the topology
-    exercises: tuple[int, ...]
     requesters: tuple[int, ...]
+
+    @cached_property
+    def exercises(self) -> tuple[int, ...]:
+        """Each datum's exercise count, from its own stream."""
+        spec = self.spec
+        return tuple(
+            random.Random(derive_seed(self.root_seed, spec.name, "exercises", d.id)).randint(*spec.exercises_range)
+            for d in self.workload
+        )
 
 
 def draw_scenario(spec: ScenarioSpec, root_seed: int) -> tuple[Topology, tuple[DataItem, ...]]:
@@ -132,20 +152,16 @@ def draw_scenario(spec: ScenarioSpec, root_seed: int) -> tuple[Topology, tuple[D
 
 
 def build_experiment(spec: ScenarioSpec, root_seed: int) -> Experiment:
-    """Draw the experiment; each datum's exercise and requester stream is its own."""
+    """Draw the experiment; each datum's requester stream is its own."""
     topology, workload = draw_scenario(spec, root_seed)
     model = CostModel(topology)
-    exercises = tuple(
-        random.Random(derive_seed(root_seed, spec.name, "exercises", d.id)).randint(*spec.exercises_range)
-        for d in workload
-    )
     requesters = tuple(
         random.Random(derive_seed(root_seed, spec.name, "requester", d.id)).randrange(
             topology.num_gateways
         )
         for d in workload
     )
-    return Experiment(topology, workload, model, exercises, requesters)
+    return Experiment(spec, root_seed, topology, workload, model, requesters)
 
 
 @dataclass(frozen=True)
@@ -159,11 +175,16 @@ def _run_optimizer(
     algorithm: str,
     model: CostModel,
     problem: PlacementProblem,
-    seed: int,
+    seed: int | None,
     hms: int,
-    exercises: int,
+    exercises: int | None,
 ) -> OptResult:
-    """One optimizer run on problem; every heuristic spends hms + exercises evaluations."""
+    """One optimizer run on problem; every heuristic spends hms + exercises
+    evaluations, and exhaustive reads neither seed nor exercises."""
+    if algorithm == "exhaustive":
+        best = model.best_allocation(problem.datum, problem.feasible_clouds, problem.replica_count)
+        cost = model.total(problem.datum, best)
+        return OptResult(best, cost, (cost,), 1)
     if algorithm == "hs":
         return hs_optimize(problem, OptParams(exercises, hms, seed))
     budget = hms + exercises
@@ -171,12 +192,8 @@ def _run_optimizer(
         return random_search(problem, budget, random.Random(seed))
     if algorithm == "ga":
         return ga_optimize(problem, GAParams(budget, seed))
-    if algorithm == "foa":
-        return foa_optimize(problem, FOAParams(budget, seed))
-    # exhaustive: run_trial_detailed admits no other name
-    best = model.best_allocation(problem.datum, problem.feasible_clouds, problem.replica_count)
-    cost = model.total(problem.datum, best)
-    return OptResult(best, cost, (cost,), 1)
+    # foa: run_trial_detailed admits no other name
+    return foa_optimize(problem, FOAParams(budget, seed))
 
 
 def run_trial_detailed(
@@ -212,10 +229,13 @@ def run_trial_detailed(
         failures = 0
         while index < len(workload) and workload[index].arrival_timestep == timestep:
             datum = workload[index]
-            exercises = experiment.exercises[index] if options.exercises is None else options.exercises
             requester = experiment.requesters[index]
+            if algorithm == "exhaustive":  # so no seed or exercise count is drawn for it
+                opt_seed = exercises = None
+            else:
+                opt_seed = derive_seed(root_seed, spec.name, "opt", algorithm, datum.id)
+                exercises = experiment.exercises[index] if options.exercises is None else options.exercises
             index += 1
-            opt_seed = derive_seed(root_seed, spec.name, "opt", algorithm, datum.id)
             try:
                 problem = PlacementProblem(current, datum, model.objective(datum))
                 result = _run_optimizer(
@@ -397,7 +417,7 @@ def csv_text(header, rows) -> str:
 
 def report_to_csv(report: RunReport) -> str:
     trial = (report.scenario, report.algorithm, report.seed)
-    return csv_text(CSV_HEADER, ((rec.timestep, *trial, *astuple(rec)[1:]) for rec in report.series))
+    return csv_text(CSV_HEADER, ((rec.timestep, *trial, *_record_values(rec)[1:]) for rec in report.series))
 
 
 def _check_amount(where: str, value) -> None:
@@ -429,14 +449,14 @@ def report_from_csv(text: str) -> RunReport:
             record = TimestepRecord(int(row[0]), *map(float, row[4:7]), int(row[7]), int(row[8]))
         except ValueError as exc:
             raise MalformedInput(f"line {line}: {exc}") from None
-        for f, value in zip(fields(record), astuple(record)):
+        for f, value in zip(fields(record), _record_values(record)):
             _check_amount(f"line {line} {f.name}", value)
         series.append(record)
     if [rec.timestep for rec in series] != list(range(1, len(series) + 1)):
         raise MalformedInput("timesteps do not run 1..T in order")
     series = tuple(series)
     totals = recompute_totals(series)
-    if not all(map(math.isfinite, astuple(totals))):
+    if not all(map(math.isfinite, json_doc(totals).values())):
         raise MalformedInput("the series' totals overflow a float")
     return RunReport(rows[1][1], rows[1][2], seed, series, totals)
 
@@ -446,7 +466,7 @@ def totals_to_dict(report: RunReport) -> dict:
         "scenario": report.scenario,
         "algorithm": report.algorithm,
         "seed": report.seed,
-        "totals": asdict(report.totals),
+        "totals": json_doc(report.totals),
     }
 
 

@@ -76,6 +76,15 @@ class LinkMatrix:
         object.__setattr__(self, "gw_to_cloud", _freeze_matrix(self.gw_to_cloud))
         object.__setattr__(self, "cloud_to_cloud", _freeze_matrix(self.cloud_to_cloud))
 
+    @classmethod
+    def unchecked(cls, gw_to_cloud, cloud_to_cloud) -> LinkMatrix:
+        """The rows as given, not copied: generate_topology draws them as
+        tuples of floats, which __post_init__ would only copy again."""
+        links = object.__new__(cls)
+        object.__setattr__(links, "gw_to_cloud", gw_to_cloud)
+        object.__setattr__(links, "cloud_to_cloud", cloud_to_cloud)
+        return links
+
 
 @dataclass(frozen=True)
 class DataItem:

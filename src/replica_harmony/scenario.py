@@ -12,6 +12,8 @@ Generation draws in a pinned order (gateways, clouds, then link rows), so
 a spec plus a seed reproduces a topology bit-for-bit. The G*C + C*(C-1)
 link rates are drawn inline as lo + (hi - lo) * random(), which is the body
 of Random.uniform, so each equals the rng.uniform(lo, hi) draw it replaces.
+They are drawn into tuples of floats, which LinkMatrix.unchecked keeps
+without the float() copy a LinkMatrix built from caller rows makes.
 """
 
 # No `from __future__ import annotations` here: ScenarioSpec's field types
@@ -112,13 +114,15 @@ def generate_topology(spec: ScenarioSpec, rng: random.Random) -> Topology:
     )
     draw = rng.random  # see the module docstring
     lo, hi = spec.gw_rate_range_bytes_per_s
-    gw_to_cloud = [[lo + (hi - lo) * draw() for _ in range(spec.num_clouds)] for _ in range(spec.num_gateways)]
+    gw_to_cloud = tuple([
+        tuple([lo + (hi - lo) * draw() for _ in range(spec.num_clouds)]) for _ in range(spec.num_gateways)
+    ])
     lo, hi = spec.cloud_rate_range_bytes_per_s
-    cloud_to_cloud = [
-        [0.0 if a == b else lo + (hi - lo) * draw() for b in range(spec.num_clouds)]
+    cloud_to_cloud = tuple([
+        tuple([0.0 if a == b else lo + (hi - lo) * draw() for b in range(spec.num_clouds)])
         for a in range(spec.num_clouds)
-    ]
-    return Topology(gateways, clouds, LinkMatrix(gw_to_cloud, cloud_to_cloud))
+    ])
+    return Topology(gateways, clouds, LinkMatrix.unchecked(gw_to_cloud, cloud_to_cloud))
 
 
 def generate_workload(spec: ScenarioSpec, topology: Topology, rng: random.Random) -> list[DataItem]:

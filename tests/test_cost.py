@@ -313,3 +313,43 @@ def test_best_allocation_rejects_out_of_range_clouds(feasible):
     model = CostModel(make_topology(random.Random(19), 3, 7))
     with pytest.raises(InvalidAllocation):
         model.best_allocation(DataItem(0, 50.0, 1, 2), feasible, 2)
+
+
+def test_a_model_that_never_solves_builds_no_order_rows():
+    model = CostModel(make_topology(random.Random(20), 4, 12))
+    d = DataItem(0, 50.0, 1, 3)
+    a = AllocationVector((0, 5, 9))
+    model.total(d, a)
+    model.breakdown(d, a)
+    model.access_delay(d, a, 2)
+    # one replica needs no branch, so no order either
+    model.best_allocation(DataItem(0, 50.0, 1, 1), tuple(range(12)), 1)
+    assert model._orders == [None] * 12
+    model.best_allocation(d, (0, 5, 9, 11), 3)
+    assert [c for c, order in enumerate(model._orders) if order is not None] == [0, 5, 9, 11]
+    # each order ranks the other clouds by their propagation cost per byte
+    for c in (0, 5, 9, 11):
+        assert sorted(model._orders[c]) == [c2 for c2 in range(12) if c2 != c]
+        costs = [model._prop_base[c][c2] for c2 in model._orders[c]]
+        assert costs == sorted(costs)
+
+
+@pytest.mark.parametrize(
+    "feasible, r, size, gateway, error",
+    [
+        ((0, 1, 99), 2, 50.0, 1, InvalidAllocation),
+        ((-1, 0, 1), 2, 50.0, 1, InvalidAllocation),
+        ((0, 1, 2), 2, 50.0, 3, InvalidAllocation),
+        ((0, 1, 1), 2, 50.0, 1, InvalidAllocation),
+        ((0, 1), 3, 50.0, 1, ValueError),
+        ((0, 1, 2), 2, -1.0, 1, ValueError),
+        ((0, 1, 2), 2, math.nan, 1, ValueError),
+    ],
+    ids=["cloud-past-end", "negative-cloud", "gateway", "duplicate", "replicas", "negative-size", "nan-size"],
+)
+def test_failed_solver_check_builds_no_row(feasible, r, size, gateway, error):
+    model = CostModel(make_topology(random.Random(19), 3, 7))
+    with pytest.raises(error):
+        model.best_allocation(DataItem(0, size, gateway, r), feasible, r)
+    assert model._orders == [None] * 7
+    assert model._entry_rows == [None] * 3

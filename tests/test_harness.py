@@ -1,7 +1,9 @@
 import dataclasses
 import gc
 import math
+import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -29,6 +31,7 @@ from replica_harmony.harness import (
 from replica_harmony.model import Policy, json_text
 from replica_harmony.optimize import PlacementProblem
 from replica_harmony.scenario import ScenarioSpec, builtin_scenario
+from replica_harmony.seeding import derive_seed
 
 
 def small_spec(**overrides) -> ScenarioSpec:
@@ -200,6 +203,55 @@ def test_run_grid_frees_each_experiment_before_the_next(monkeypatch, stride):
     monkeypatch.setattr(harness, "build_experiment", tracked)
     run_grid(small_spec(timesteps=5), ["hs", "random"], [0, stride, 2 * stride])
     assert len(previous) == 3
+
+
+def count_derived_labels(monkeypatch) -> Counter:
+    """Count each harness.derive_seed call by its label (the part after the scenario name)."""
+    labels = Counter()
+    original = harness.derive_seed
+
+    def counting(root_seed, name, label, *rest):
+        labels[label] += 1
+        return original(root_seed, name, label, *rest)
+
+    monkeypatch.setattr(harness, "derive_seed", counting)
+    return labels
+
+
+def data_per_seed(spec, seeds) -> int:
+    return sum(len(build_experiment(spec, seed).workload) for seed in seeds)
+
+
+def test_exhaustive_run_derives_no_optimizer_or_exercise_seed(monkeypatch):
+    spec = small_spec(timesteps=12, capacity_range_bytes=(300.0, 600.0))
+    data = data_per_seed(spec, [0, 1])
+    labels = count_derived_labels(monkeypatch)
+    reports = run_grid(spec, ["exhaustive"], [0, 1])
+    assert sum(r.totals.failures for r in reports.values()) > 0  # failed data draw nothing either
+    assert labels == {"topology": 2, "workload": 2, "requester": data}
+
+
+def test_fixed_exercises_derive_no_exercise_seed(monkeypatch):
+    spec = small_spec(timesteps=12)
+    data = data_per_seed(spec, [0])
+    labels = count_derived_labels(monkeypatch)
+    run_grid(spec, ["hs", "random", "exhaustive"], [0], TrialOptions(exercises=3))
+    assert labels == {"topology": 1, "workload": 1, "requester": data, "opt": 2 * data}
+
+
+def test_drawn_exercises_are_the_eager_draws_once_per_experiment(monkeypatch):
+    spec = small_spec(timesteps=12)
+    experiment = build_experiment(spec, 5)
+    # the formula build_experiment drew every count with before they were drawn on first use
+    eager = tuple(
+        random.Random(derive_seed(5, spec.name, "exercises", d.id)).randint(*spec.exercises_range)
+        for d in experiment.workload
+    )
+    assert experiment.exercises == eager
+    data = len(experiment.workload)
+    labels = count_derived_labels(monkeypatch)
+    run_grid(spec, ["hs", "random"], [5])
+    assert labels == {"topology": 1, "workload": 1, "requester": data, "exercises": data, "opt": 2 * data}
 
 
 def test_win_rate_pairs_only_shared_seeds():

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import math
 import random
 from collections import Counter
@@ -480,6 +482,50 @@ def test_best_allocation_matches_exhaustive_oracle(make):
             assert model.total(d, vector).hex() == oracle.best_cost.hex(), (seed, r)
             checked += 1
     assert checked > 800
+
+
+def enumerated_best(model: CostModel, d: DataItem, feasible, r: int) -> tuple[float, tuple[int, ...]]:
+    """The first cheapest r-subset of sorted(feasible), in enumeration order."""
+    best = None
+    for combo in itertools.combinations(sorted(feasible), r):
+        cost = model.total(d, AllocationVector.unchecked(combo))
+        if best is None or cost < best[0]:
+            best = (cost, combo)
+    return best
+
+
+# make_topology with capacities that a datum of 20..100 bytes often exceeds;
+# tie_heavy_topology's clouds hold 50 bytes or 1e6
+@pytest.mark.parametrize(
+    "make", [functools.partial(make_topology, capacity=(20.0, 150.0)), tie_heavy_topology],
+    ids=["make_topology", "tie_heavy_topology"],
+)
+def test_best_allocation_matches_enumeration_beyond_ten_clouds(make):
+    checked = walked = zero_size = 0
+    for seed in range(60):
+        rng = random.Random(7_000 + seed)
+        num_clouds = rng.randint(11, 25)
+        t = make(rng, 3, num_clouds)
+        model = CostModel(t)
+        for r in range(1, 5):
+            size = 0.0 if rng.random() < 0.15 else float(rng.randint(20, 100))
+            d = DataItem(0, size, rng.randrange(3), r)
+            try:
+                feasible = PlacementProblem(t, d, model.objective(d)).feasible_clouds
+            except Infeasible:
+                continue
+            cost, combo = enumerated_best(model, d, feasible, r)
+            vector = model.best_allocation(d, feasible, r)
+            assert vector.clouds == combo, (seed, r)
+            assert model.total(d, vector).hex() == cost.hex(), (seed, r)
+            # the answer does not depend on the order feasible lists the clouds in
+            shuffled = list(feasible)
+            rng.shuffle(shuffled)
+            assert model.best_allocation(d, tuple(shuffled), r) == vector, (seed, r)
+            checked += 1
+            walked += r > 1 and len(feasible) < num_clouds
+            zero_size += size == 0.0
+    assert checked > 200 and walked > 60 and zero_size > 20, (checked, walked, zero_size)
 
 
 def test_best_allocation_rejects_bad_replica_count(example_topology):

@@ -153,6 +153,18 @@ def test_generate_topology_matches_uniform_reference(spec):
         assert rng.random() == reference_rng.random()
 
 
+@pytest.mark.parametrize("rates", [(500.0, 5000.0), (1000, 1000)], ids=["floats", "int-range"])
+def test_generated_link_rows_are_the_float_tuples_a_link_matrix_holds(rates):
+    spec = ScenarioSpec(name="rates", num_gateways=3, num_clouds=4,
+                        gw_rate_range_bytes_per_s=rates, cloud_rate_range_bytes_per_s=rates)
+    links = generate_topology(spec, random.Random(3)).links
+    for matrix in (links.gw_to_cloud, links.cloud_to_cloud):
+        assert type(matrix) is tuple
+        assert all(type(row) is tuple and all(type(rate) is float for rate in row) for row in matrix)
+    # what the float() copy would have made of them
+    assert LinkMatrix(links.gw_to_cloud, links.cloud_to_cloud) == links
+
+
 def test_workload_forced_and_empty():
     base = dict(num_gateways=2, num_clouds=4, timesteps=3)
     sure = ScenarioSpec(name="sure", arrival_probability=1.0, **base)
