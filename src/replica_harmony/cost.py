@@ -181,8 +181,11 @@ class CostModel:
             per_candidate=tuple((c, t) for c, _, _, t in candidates),
         )
 
-    def best_allocation(self, d: DataItem, feasible: tuple[int, ...], r: int) -> AllocationVector:
-        """Exact minimizer of total() over the r-subsets of the distinct cloud ids in feasible.
+    def best_allocation(
+        self, d: DataItem, feasible: tuple[int, ...], r: int
+    ) -> tuple[AllocationVector, float]:
+        """The exact minimizer of total() over the r-subsets of the distinct
+        cloud ids in feasible, and its cost.
 
         With c as entry cloud, the cheapest subset adds the r-1 clouds of
         smallest branch cost, so the optimum is the minimum over c of
@@ -195,7 +198,7 @@ class CostModel:
         the subsets in order; only entry clouds that reach the optimum are
         searched for them. The floats are total()'s, so entry + branch <=
         optimum holds exactly for a prefix of the order that covers the
-        (r-1)-th feasible cloud.
+        (r-1)-th feasible cloud, and the vector's total() is the optimum, bit for bit.
         """
         if not (1 <= r <= len(feasible)):
             raise ValueError(f"need 1 <= r <= {len(feasible)} feasible clouds, got r={r}")
@@ -256,7 +259,7 @@ class CostModel:
             vector = tuple(sorted((c, *ties[: r - 1])))
             if best is None or vector < best:
                 best = vector
-        return AllocationVector(best)
+        return AllocationVector(best), optimum
 
     def access_delay(self, d: DataItem, a: AllocationVector, requester: int) -> float:
         """Best-replica retrieval time in seconds for the given gateway."""

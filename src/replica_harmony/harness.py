@@ -172,19 +172,18 @@ class TrialResult:
 
 
 def _run_optimizer(
-    algorithm: str,
-    model: CostModel,
-    problem: PlacementProblem,
-    seed: int | None,
-    hms: int,
-    exercises: int | None,
+    algorithm: str, problem: PlacementProblem, experiment: Experiment, index: int, options: TrialOptions
 ) -> OptResult:
-    """One optimizer run on problem; every heuristic spends hms + exercises
-    evaluations, and exhaustive reads neither seed nor exercises."""
+    """One optimizer run on the problem of the experiment's datum at index: exhaustive
+    reads no seed or exercise count, and every heuristic draws from its own "opt"
+    stream and spends hms + exercises evaluations."""
     if algorithm == "exhaustive":
-        best = model.best_allocation(problem.datum, problem.feasible_clouds, problem.replica_count)
-        cost = model.total(problem.datum, best)
-        return OptResult(best, cost, (cost,), 1)
+        model = experiment.model
+        best, cost = model.best_allocation(problem.datum, problem.feasible_clouds, problem.replica_count)
+        return OptResult(best, cost, (cost,), 0)
+    seed = derive_seed(experiment.root_seed, experiment.spec.name, "opt", algorithm, problem.datum.id)
+    hms = options.memory_size_hms
+    exercises = experiment.exercises[index] if options.exercises is None else options.exercises
     if algorithm == "hs":
         return hs_optimize(problem, OptParams(exercises, hms, seed))
     budget = hms + exercises
@@ -203,7 +202,8 @@ def run_trial_detailed(
     options: TrialOptions = TrialOptions(),
     experiment: Experiment | None = None,
 ) -> TrialResult:
-    """One algorithm on the experiment of (spec, root_seed), built here when omitted."""
+    """One algorithm on the experiment of (spec, root_seed), built here when omitted;
+    a passed experiment must be the one (spec, root_seed) names."""
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
     # the largest datum's energy, once per gateway and timestep, must sum to a float
@@ -214,6 +214,9 @@ def run_trial_detailed(
         raise ConfigError("energy overflows a float: lower the energy coefficients or data_size_range_bytes")
     if experiment is None:
         experiment = build_experiment(spec, root_seed)
+    elif experiment.spec != spec or experiment.root_seed != root_seed:
+        raise ConfigError(f"the experiment is scenario {experiment.spec.name!r} seed {experiment.root_seed}, "
+                          f"not scenario {spec.name!r} seed {root_seed}")
     model = experiment.model
     workload = experiment.workload
     current = experiment.topology
@@ -229,28 +232,20 @@ def run_trial_detailed(
         failures = 0
         while index < len(workload) and workload[index].arrival_timestep == timestep:
             datum = workload[index]
-            requester = experiment.requesters[index]
-            if algorithm == "exhaustive":  # so no seed or exercise count is drawn for it
-                opt_seed = exercises = None
-            else:
-                opt_seed = derive_seed(root_seed, spec.name, "opt", algorithm, datum.id)
-                exercises = experiment.exercises[index] if options.exercises is None else options.exercises
-            index += 1
             try:
                 problem = PlacementProblem(current, datum, model.objective(datum))
-                result = _run_optimizer(
-                    algorithm, model, problem, opt_seed, options.memory_size_hms, exercises
-                )
+                result = _run_optimizer(algorithm, problem, experiment, index, options)
                 current = commit_placement(current, datum, result.best)
             except Infeasible:  # CapacityExceeded is a bug: the problem offers only clouds with room
                 failures += 1
                 placements.append((datum, None))
-                continue
-            cost_sum += result.best_cost
-            delay_sum += model.access_delay(datum, result.best, requester)
-            energy_sum += placement_energy(datum, result.best, options.energy)
-            placed += 1
-            placements.append((datum, result.best))
+            else:
+                cost_sum += result.best_cost
+                delay_sum += model.access_delay(datum, result.best, experiment.requesters[index])
+                energy_sum += placement_energy(datum, result.best, options.energy)
+                placed += 1
+                placements.append((datum, result.best))
+            index += 1
         series.append(
             TimestepRecord(
                 timestep=timestep,

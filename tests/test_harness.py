@@ -134,7 +134,7 @@ def test_every_heuristic_spends_hms_plus_exercises(algorithm):
     problem = PlacementProblem(experiment.topology, datum, experiment.model.objective(datum))
     for hms in (2, 10, 40):
         for exercises in (1, 5, 10):
-            result = harness._run_optimizer(algorithm, experiment.model, problem, 3, hms, exercises)
+            result = harness._run_optimizer(algorithm, problem, experiment, 0, TrialOptions(hms, exercises))
             assert result.evaluations == hms + exercises, (hms, exercises)
 
 
@@ -252,6 +252,29 @@ def test_drawn_exercises_are_the_eager_draws_once_per_experiment(monkeypatch):
     labels = count_derived_labels(monkeypatch)
     run_grid(spec, ["hs", "random"], [5])
     assert labels == {"topology": 1, "workload": 1, "requester": data, "exercises": data, "opt": 2 * data}
+
+
+def test_failed_data_derive_no_optimizer_seed(monkeypatch):
+    # tight capacities, so some data fail before any optimizer runs
+    spec = small_spec(timesteps=12, capacity_range_bytes=(300.0, 600.0))
+    labels = count_derived_labels(monkeypatch)
+    reports = run_grid(spec, ["hs"], [0, 1])
+    placed = sum(r.totals.placed for r in reports.values())
+    assert sum(r.totals.failures for r in reports.values()) > 0
+    assert labels["opt"] == placed
+
+
+def test_trial_rejects_an_experiment_of_another_scenario_or_seed():
+    spec = small_spec(timesteps=4)
+    others = [
+        build_experiment(small_spec(name="other", timesteps=2), 0),  # another scenario
+        build_experiment(small_spec(timesteps=2), 0),  # same name, other spec
+        build_experiment(spec, 5),  # another seed
+    ]
+    for experiment in others:
+        with pytest.raises(ConfigError, match="experiment"):
+            run_trial(spec, "hs", 0, experiment=experiment)
+    assert run_trial(spec, "hs", 0, experiment=build_experiment(spec, 0)) == run_trial(spec, "hs", 0)
 
 
 def test_win_rate_pairs_only_shared_seeds():

@@ -446,7 +446,7 @@ def test_exhaustive_tie_break_is_lexicographic():
     d = DataItem(0, 40.0, 0, 2)
     result = exhaustive_best(PlacementProblem(t, d, CostModel(t).objective(d)))
     assert result.best.clouds == (0, 1)
-    assert CostModel(t).best_allocation(d, tuple(range(5)), 2).clouds == (0, 1)
+    assert CostModel(t).best_allocation(d, tuple(range(5)), 2)[0].clouds == (0, 1)
 
 
 def tie_heavy_topology(rng: random.Random, num_gateways: int, num_clouds: int) -> Topology:
@@ -477,9 +477,10 @@ def test_best_allocation_matches_exhaustive_oracle(make):
             except Infeasible:
                 continue
             oracle = exhaustive_best(problem)
-            vector = model.best_allocation(d, problem.feasible_clouds, r)
+            vector, cost = model.best_allocation(d, problem.feasible_clouds, r)
             assert vector == oracle.best, (seed, r)
             assert model.total(d, vector).hex() == oracle.best_cost.hex(), (seed, r)
+            assert cost.hex() == model.total(d, vector).hex(), (seed, r)
             checked += 1
     assert checked > 800
 
@@ -515,13 +516,14 @@ def test_best_allocation_matches_enumeration_beyond_ten_clouds(make):
             except Infeasible:
                 continue
             cost, combo = enumerated_best(model, d, feasible, r)
-            vector = model.best_allocation(d, feasible, r)
+            vector, solved = model.best_allocation(d, feasible, r)
             assert vector.clouds == combo, (seed, r)
             assert model.total(d, vector).hex() == cost.hex(), (seed, r)
+            assert solved.hex() == model.total(d, vector).hex(), (seed, r)
             # the answer does not depend on the order feasible lists the clouds in
             shuffled = list(feasible)
             rng.shuffle(shuffled)
-            assert model.best_allocation(d, tuple(shuffled), r) == vector, (seed, r)
+            assert model.best_allocation(d, tuple(shuffled), r)[0] == vector, (seed, r)
             checked += 1
             walked += r > 1 and len(feasible) < num_clouds
             zero_size += size == 0.0

@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import replica_harmony
+from replica_harmony.harness import ALGORITHMS
 
 PACKAGE_DIR = Path(replica_harmony.__file__).parent
 
@@ -61,6 +62,23 @@ def test_each_file_format_has_one_writer():
              if isinstance(node, ast.Attribute) and node.attr == "join"
              and isinstance(node.value, ast.Constant) and node.value.value == ","]
     assert joins == []
+
+
+def test_only_the_optimizer_dispatch_names_an_algorithm():
+    # the trial loop treats every algorithm alike: in harness.py an algorithm's
+    # name is spelled only where ALGORITHMS lists it and where _run_optimizer
+    # dispatches on it
+    sites = set()
+    for stmt in ast.parse((PACKAGE_DIR / "harness.py").read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            owner = stmt.name
+        elif isinstance(stmt, ast.Assign):
+            owner = ast.unparse(stmt.targets[0])
+        else:
+            owner = f"harness:{stmt.lineno}"
+        sites.update(owner for node in ast.walk(stmt)
+                     if isinstance(node, ast.Constant) and node.value in ALGORITHMS)
+    assert sites == {"ALGORITHMS", "_run_optimizer"}
 
 
 def test_unit_bearing_json_keys_are_declared_once():
