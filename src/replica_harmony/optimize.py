@@ -16,9 +16,10 @@ used here.
 from __future__ import annotations
 
 import bisect
+import functools
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -52,10 +53,7 @@ class PlacementProblem:
                 f"{len(self.feasible_clouds)} clouds have {datum.size} bytes free"
             )
         self.objective = objective
-
-    @property
-    def replica_count(self) -> int:
-        return self.datum.replica_count
+        self.replica_count = datum.replica_count
 
 
 class Harmony(NamedTuple):
@@ -65,6 +63,8 @@ class Harmony(NamedTuple):
 
 # the one sort key of every harmony memory, population and forest
 _by_cost = attrgetter("cost")
+# _new_tuple(Harmony, (vector, cost)) is Harmony(vector, cost) without its Python-level __new__
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -126,23 +126,34 @@ def sample(rng: random.Random, pool: Sequence[int], k: int) -> tuple[int, ...]:
 
 
 def roulette_select_pair(memory: Sequence[Harmony], rng: random.Random) -> tuple[int, int]:
-    """Two distinct indices into a cost-sorted memory; rank k gets weight (size - k + 1)."""
-    weights = list(range(len(memory), 0, -1))
-    first = _roulette_draw(weights, rng)
-    weights[first] = 0
-    second = _roulette_draw(weights, rng)
-    return first, second
+    """Two distinct indices into a cost-sorted memory; rank k gets weight (size - k + 1).
+
+    Each pick is the first index whose running weight sum exceeds
+    random() * the weights' total, else the last index of positive weight.
+    """
+    tables = _roulette_tables(len(memory))
+    cum, total = tables[-1]
+    first = bisect.bisect_right(cum, rng.random() * total)
+    cum, total = tables[first]
+    return first, bisect.bisect_right(cum, rng.random() * total)
 
 
-def _roulette_draw(weights: Sequence[int], rng: random.Random) -> int:
-    total = sum(weights)
-    x = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if x < acc:
-            return i
-    return max(i for i, w in enumerate(weights) if w > 0)
+@functools.cache
+def _roulette_tables(size: int) -> tuple:
+    """(running weight sums, total) with weight k zeroed at index k < size,
+    and with none zeroed at index size.
+
+    The sums are integers, exact as floats, and a zeroed weight repeats the
+    sum before it, so bisect_right gives the first index whose sum exceeds
+    the draw. They stop before the last positive weight, so a draw past
+    them all, or at the total, gets that weight's index.
+    """
+    tables = []
+    for zeroed in range(size + 1):
+        weights = [0 if k == zeroed else size - k for k in range(size)]
+        last = max(k for k, w in enumerate(weights) if w)
+        tables.append((tuple(accumulate(weights[:last], initial=0.0))[1:], sum(weights)))
+    return tuple(tables)
 
 
 def combine_harmonies(
@@ -152,10 +163,12 @@ def combine_harmonies(
     rng: random.Random,
 ) -> AllocationVector:
     """Position-wise coin flip between the parents, then duplicate repair."""
-    raw = tuple(
-        x if rng.random() < 0.5 else y for x, y in zip(a.vector.clouds, b.vector.clouds)
-    )
-    return AllocationVector.unchecked(_repair_duplicates(raw, feasible, rng))
+    coin = rng.random
+    raw = tuple([x if coin() < 0.5 else y for x, y in zip(a.vector.clouds, b.vector.clouds)])
+    # without a duplicate the repair draws nothing and returns raw
+    if len(set(raw)) < len(raw):
+        raw = _repair_duplicates(raw, feasible, rng)
+    return AllocationVector.unchecked(raw)
 
 
 def _repair_duplicates(
@@ -193,52 +206,57 @@ def _mutate_one_position(
 
 def hs_optimize(problem: PlacementProblem, params: OptParams) -> OptResult:
     rng = random.Random(params.seed)
+    objective = problem.objective
+    feasible = problem.feasible_clouds
     # the harmony memory: a list kept sorted ascending by cost
     memory = sorted(
-        [_evaluated(problem, random_allocation(problem, rng)) for _ in range(params.memory_size_hms)],
+        [_new_tuple(Harmony, (v := random_allocation(problem, rng), objective(v)))
+         for _ in range(params.memory_size_hms)],
         key=_by_cost,
     )
-    evaluations = params.memory_size_hms
+    # members[k] is memory[k].vector.clouds
+    members = [h.vector.clouds for h in memory]
 
     trace = []
     for _ in range(params.exercises):
         i, j = roulette_select_pair(memory, rng)
-        child = combine_harmonies(memory[i], memory[j], problem.feasible_clouds, rng)
+        child = combine_harmonies(memory[i], memory[j], feasible, rng)
         # A child already present in the memory explores nothing, and once the
         # memory fills with copies of one harmony every child would be such a
         # repeat and the search would stall; spend the exercise on a fresh
         # random vector instead (the random-selection rule).
-        if any(m.vector.clouds == child.clouds for m in memory):
+        if child.clouds in members:
             child = random_allocation(problem, rng)
-        harmony = _evaluated(problem, child)
-        evaluations += 1
-        if harmony.cost < memory[-1].cost:
+        cost = objective(child)
+        if cost < memory[-1].cost:
             # the worst goes; the child lands after every harmony of equal
             # cost, where a stable sort would put it
             memory.pop()
-            bisect.insort_right(memory, harmony, key=_by_cost)
+            members.pop()
+            k = bisect.bisect_right(memory, cost, key=_by_cost)
+            memory.insert(k, _new_tuple(Harmony, (child, cost)))
+            members.insert(k, child.clouds)
         trace.append(memory[0].cost)
 
     best = memory[0]
+    evaluations = params.memory_size_hms + params.exercises
     return OptResult(best.vector, best.cost, tuple(trace), evaluations)
-
-
-def _evaluated(problem: PlacementProblem, vector: AllocationVector) -> Harmony:
-    return Harmony(vector, problem.objective(vector))
 
 
 def random_search(problem: PlacementProblem, budget: int, rng: random.Random) -> OptResult:
     """Uniform independent samples; returns the running minimum."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    best: Harmony | None = None
+    objective = problem.objective
+    best = best_cost = None
     trace = []
     for _ in range(budget):
-        h = _evaluated(problem, random_allocation(problem, rng))
-        if best is None or h.cost < best.cost:
-            best = h
-        trace.append(best.cost)
-    return OptResult(best.vector, best.cost, tuple(trace), budget)
+        vector = random_allocation(problem, rng)
+        cost = objective(vector)
+        if best is None or cost < best_cost:
+            best, best_cost = vector, cost
+        trace.append(best_cost)
+    return OptResult(best, best_cost, tuple(trace), budget)
 
 
 # Stand-in GA and FOA configurations; the source experiments never state one.
@@ -263,6 +281,7 @@ class GAParams:
 
 def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
     rng = random.Random(params.seed)
+    objective = problem.objective
     r = problem.replica_count
     feasible = problem.feasible_clouds
 
@@ -271,7 +290,8 @@ def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
     pop_size = min(GA_POPULATION, params.budget)
 
     population = sorted(
-        (_evaluated(problem, random_allocation(problem, rng)) for _ in range(pop_size)),
+        [_new_tuple(Harmony, (v := random_allocation(problem, rng), objective(v)))
+         for _ in range(pop_size)],
         key=_by_cost,
     )
     evaluations = pop_size
@@ -291,9 +311,9 @@ def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
                 child = p1.vector.clouds
             if rng.random() < GA_MUTATION_RATE:
                 child = _mutate_one_position(child, feasible, rng)
-            h = _evaluated(problem, AllocationVector.unchecked(child))
+            vector = AllocationVector.unchecked(child)
+            next_gen.append(_new_tuple(Harmony, (vector, objective(vector))))
             evaluations += 1
-            next_gen.append(h)
         population = sorted(next_gen, key=_by_cost)
         best = population[0]
         trace.append(best.cost)
@@ -334,13 +354,12 @@ def foa_optimize(problem: PlacementProblem, params: FOAParams) -> OptResult:
     the forest always keeps one seeding tree.
     """
     rng = random.Random(params.seed)
+    objective = problem.objective
     feasible = problem.feasible_clouds
     budget = params.budget
 
     init_size = min(FOA_AREA_LIMIT, budget)
-    forest = [
-        _Tree(*_evaluated(problem, random_allocation(problem, rng))) for _ in range(init_size)
-    ]
+    forest = [_Tree(v := random_allocation(problem, rng), objective(v)) for _ in range(init_size)]
     evaluations = init_size
     best = min(forest, key=_by_cost)
     trace = [best.cost]
@@ -353,8 +372,8 @@ def foa_optimize(problem: PlacementProblem, params: FOAParams) -> OptResult:
             for _ in range(FOA_LOCAL_SEEDING):
                 if evaluations >= budget:
                     break
-                vec = _mutate_one_position(tree.vector.clouds, feasible, rng)
-                new_trees.append(_Tree(*_evaluated(problem, AllocationVector.unchecked(vec))))
+                clouds = _mutate_one_position(tree.vector.clouds, feasible, rng)
+                new_trees.append(_Tree(v := AllocationVector.unchecked(clouds), objective(v)))
                 evaluations += 1
         for tree in forest:
             tree.age += 1
@@ -371,7 +390,7 @@ def foa_optimize(problem: PlacementProblem, params: FOAParams) -> OptResult:
         for _ in range(reseeds):
             if evaluations >= budget:
                 break
-            forest.append(_Tree(*_evaluated(problem, random_allocation(problem, rng))))
+            forest.append(_Tree(v := random_allocation(problem, rng), objective(v)))
             evaluations += 1
 
         forest.sort(key=_by_cost)
@@ -390,11 +409,13 @@ def exhaustive_best(problem: PlacementProblem) -> OptResult:
     for vector order (the cost is permutation invariant); ties go to the
     lexicographically smallest sorted vector.
     """
-    best: Harmony | None = None
+    objective = problem.objective
+    best = best_cost = None
     trace = []
     for combo in combinations(problem.feasible_clouds, problem.replica_count):
-        h = _evaluated(problem, AllocationVector(combo))
-        if best is None or h.cost < best.cost:
-            best = h
-        trace.append(best.cost)
-    return OptResult(best.vector, best.cost, tuple(trace), len(trace))
+        vector = AllocationVector(combo)
+        cost = objective(vector)
+        if best is None or cost < best_cost:
+            best, best_cost = vector, cost
+        trace.append(best_cost)
+    return OptResult(best, best_cost, tuple(trace), len(trace))

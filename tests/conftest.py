@@ -29,6 +29,19 @@ def make_topology(rng: random.Random, num_gateways: int, num_clouds: int,
     return Topology(gateways, clouds, LinkMatrix(gw, cc))
 
 
+def tie_heavy_topology(rng: random.Random, num_gateways: int, num_clouds: int) -> Topology:
+    """Delays, waits and rates each drawn from two values, so equal costs are common."""
+    delays, waits, rates = (20.0, 40.0), (0.25, 0.5), (1000.0, 2000.0)
+    gateways = tuple(Gateway(g, rng.choice(delays), rng.choice(waits)) for g in range(num_gateways))
+    clouds = tuple(
+        MiniCloud(c, rng.choice(delays), rng.choice(delays), rng.choice(waits), rng.choice((50.0, 1e6)))
+        for c in range(num_clouds)
+    )
+    gw = [[rng.choice(rates) for _ in range(num_clouds)] for _ in range(num_gateways)]
+    cc = [[0.0 if a == b else rng.choice(rates) for b in range(num_clouds)] for a in range(num_clouds)]
+    return Topology(gateways, clouds, LinkMatrix(gw, cc))
+
+
 @pytest.fixture
 def example_topology() -> Topology:
     """The hand-checkable two-cloud instance used in the cost examples.

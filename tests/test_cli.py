@@ -912,8 +912,14 @@ def test_perfbench_tracer_names_resolve():
         assert callable(getattr(getattr(modules[module], cls), method, None)), f"{cls}.{method}"
 
 
-# evaluations per datum at --hms 4 --exercises 3; the exact solver makes none
-@pytest.mark.parametrize("algo,evals", [("hs", 4 + 3), ("exhaustive", 0)], ids=["hs", "exhaustive"])
+# evaluations per datum at --hms 4 --exercises 3: each heuristic spends the
+# HS budget (GA's population and FOA's forest are capped by it); the exact
+# solver makes none
+@pytest.mark.parametrize(
+    "algo,evals",
+    [("hs", 4 + 3), ("random", 4 + 3), ("ga", 4 + 3), ("foa", 4 + 3), ("exhaustive", 0)],
+    ids=["hs", "random", "ga", "foa", "exhaustive"],
+)
 def test_perfbench_tracer_counts_every_evaluation(tmp_path, monkeypatch, algo, evals):
     # A traced benchmark job must still see each evaluation as a
     # CostModel.total call. The tracer rewrites package globals for the rest

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -13,7 +14,7 @@ from replica_harmony.cost import (
 from replica_harmony.errors import InvalidAllocation
 from replica_harmony.model import AllocationVector, DataItem, Gateway, LinkMatrix, MiniCloud, Topology
 
-from conftest import make_topology
+from conftest import make_topology, tie_heavy_topology
 
 
 def naive_replication_cost(t: Topology, d: DataItem, a: AllocationVector) -> float:
@@ -97,6 +98,46 @@ def test_total_equals_breakdown_total_bit_exact():
         t, d, a = random_instance(seed)
         model = CostModel(t)
         assert model.breakdown(d, a).total == model.total(d, a)
+
+
+def zero_wait_topology(rng: random.Random, num_gateways: int, num_clouds: int) -> Topology:
+    """tie_heavy_topology with some cloud waits 0: from such an entry cloud a
+    zero-size datum propagates at cost 0.0, so later entry costs tie the
+    running best, and a tiny one comes near."""
+    t = tie_heavy_topology(rng, num_gateways, num_clouds)
+    clouds = tuple(
+        dataclasses.replace(c, waiting_time_s=rng.choice((0.0, c.waiting_time_s))) for c in t.clouds
+    )
+    return Topology(t.gateways, clouds, t.links)
+
+
+@pytest.mark.parametrize("make", [make_topology, tie_heavy_topology, zero_wait_topology])
+def test_total_skipping_entry_costs_equals_breakdown_on_every_permutation(make):
+    # total skips an entry cloud whose entry cost alone is >= the best total
+    # so far; breakdown computes every candidate
+    skipped = zero_size = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        t = make(rng, rng.randint(1, 4), n)
+        model = CostModel(t)
+        r = rng.randint(1, min(5, n))
+        # the smaller the datum, the nearer an entry cost to a whole total
+        size = rng.choice((0.0, 1e-3, 1.0, float(rng.randint(20, 100))))
+        d = DataItem(0, size, rng.randrange(t.num_gateways), r)
+        # a one-replica total is the entry cost alone
+        entry = {c: model.total(d, AllocationVector((c,))) for c in range(n)}
+        for perm in itertools.permutations(rng.sample(range(n), r)):
+            a = AllocationVector(perm)
+            breakdown = model.breakdown(d, a)
+            assert model.total(d, a).hex() == breakdown.total.hex(), (seed, perm)
+            totals = [total for _, total in breakdown.per_candidate]
+            skipped += sum(entry[perm[k]] >= min(totals[:k]) for k in range(1, r))
+        zero_size += size == 0.0
+    assert zero_size > 20, zero_size
+    # with every wait > 0, an entry cost alone stays below a total here
+    if make is zero_wait_topology:
+        assert skipped > 200, skipped
 
 
 def test_matches_naive_oracle():

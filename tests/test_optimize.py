@@ -36,7 +36,7 @@ from replica_harmony.optimize import (
     sample,
 )
 
-from conftest import make_topology
+from conftest import make_topology, tie_heavy_topology
 
 
 class ScriptedRng(random.Random):
@@ -262,6 +262,85 @@ def test_roulette_is_rank_based_on_equal_costs():
     assert abs(counts[0] / draws - 1 / 2) <= 0.02
 
 
+def reference_roulette_select_pair(memory, rng: random.Random) -> tuple[int, int]:
+    """roulette_select_pair as a running-sum scan per pick, the reference
+    for its bisect over cumulative tables."""
+    weights = list(range(len(memory), 0, -1))
+    first = reference_roulette_draw(weights, rng)
+    weights[first] = 0
+    return first, reference_roulette_draw(weights, rng)
+
+
+def reference_roulette_draw(weights, rng: random.Random) -> int:
+    total = sum(weights)
+    x = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if x < acc:
+            return i
+    return max(i for i, w in enumerate(weights) if w > 0)
+
+
+@pytest.mark.parametrize("size", range(2, 17))
+def test_roulette_matches_running_sum_reference(size):
+    memory = [None] * size
+    for seed in range(40):
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(100):
+            assert roulette_select_pair(memory, rng) == reference_roulette_select_pair(memory, reference)
+        assert rng.getstate() == reference.getstate()
+
+
+def draws_around(acc: float, total: int) -> tuple[float, float]:
+    """The smallest u with u * total >= acc, and the float before it, whose
+    draw is the largest below acc."""
+    u = acc / total
+    while u > 0.0 and math.nextafter(u, 0.0) * total >= acc:
+        u = math.nextafter(u, 0.0)
+    while u * total < acc:
+        u = math.nextafter(u, 1.0)
+    return u, math.nextafter(u, 0.0)
+
+
+def boundary_draws(weights) -> list[float]:
+    """random() values around each positive running weight sum, the points
+    where the reference's x < acc test flips. Where no float u lands
+    u * total on the sum itself (27 of 105, say), the two are the nearest
+    on either side of it. At the total the u is 1.0, which random() never
+    returns, but which takes each pick's fallback to the last positive weight."""
+    total = sum(weights)
+    draws = []
+    for acc in sorted(set(itertools.accumulate(weights)) - {0}):
+        u, below = draws_around(acc, total)
+        assert below * total < acc <= u * total
+        draws += [u, below]
+    return draws
+
+
+@pytest.mark.parametrize("size", range(2, 17))
+def test_roulette_matches_reference_on_every_boundary(size):
+    memory = [None] * size
+    weights = list(range(size, 0, -1))
+    pairs = landed = one_ulp_below = fallbacks = 0
+    for u1 in boundary_draws(weights):
+        first = reference_roulette_draw(weights, ScriptedRng([u1]))
+        second_weights = [0 if i == first else w for i, w in enumerate(weights)]
+        sums = set(itertools.accumulate(second_weights))
+        for u2 in boundary_draws(second_weights):
+            rng, reference = ScriptedRng([u1, u2]), ScriptedRng([u1, u2])
+            assert roulette_select_pair(memory, rng) == reference_roulette_select_pair(memory, reference)
+            assert rng.getstate() == reference.getstate() and not rng.script
+            x = u2 * sum(second_weights)
+            pairs += 1
+            landed += x in sums
+            one_ulp_below += math.nextafter(x, math.inf) in sums
+            fallbacks += u1 == 1.0 or u2 == 1.0
+    # most second draws land on a sum or one ulp below it
+    assert landed >= pairs / 4 and one_ulp_below >= pairs / 4, (pairs, landed, one_ulp_below)
+    assert fallbacks >= 2 * size
+
+
 def test_combine_identical_parents_returns_parent():
     parent = Harmony(AllocationVector((1, 2, 3)), 0.0)
     child = combine_harmonies(parent, parent, (0, 1, 2, 3, 4), random.Random(0))
@@ -288,6 +367,25 @@ def test_combine_repairs_duplicates():
         child = combine_harmonies(a, b, feasible, rng)
         assert child.clouds[0] == 1
         assert child.clouds[1] in {0, 2, 3}
+
+
+def test_combine_of_disjoint_parents_draws_one_coin_per_position():
+    # no duplicate to repair: the child takes r coins and the generator
+    # ends exactly r random() calls further on
+    for seed in range(200):
+        rng = random.Random(seed)
+        r = rng.randint(1, 6)
+        ids = rng.sample(range(20), 2 * r)
+        a = Harmony(AllocationVector(tuple(ids[:r])), 0.0)
+        b = Harmony(AllocationVector(tuple(ids[r:])), 0.0)
+        reference = random.Random()
+        reference.setstate(rng.getstate())
+        coins = [reference.random() for _ in range(r)]
+        child = combine_harmonies(a, b, tuple(range(20)), rng)
+        assert child.clouds == tuple(
+            x if coin < 0.5 else y for coin, x, y in zip(coins, a.vector.clouds, b.vector.clouds)
+        )
+        assert rng.getstate() == reference.getstate()
 
 
 def test_combine_always_duplicate_free():
@@ -447,19 +545,6 @@ def test_exhaustive_tie_break_is_lexicographic():
     result = exhaustive_best(PlacementProblem(t, d, CostModel(t).objective(d)))
     assert result.best.clouds == (0, 1)
     assert CostModel(t).best_allocation(d, tuple(range(5)), 2)[0].clouds == (0, 1)
-
-
-def tie_heavy_topology(rng: random.Random, num_gateways: int, num_clouds: int) -> Topology:
-    """Delays, waits and rates each drawn from two values, so equal costs are common."""
-    delays, waits, rates = (20.0, 40.0), (0.25, 0.5), (1000.0, 2000.0)
-    gateways = tuple(Gateway(g, rng.choice(delays), rng.choice(waits)) for g in range(num_gateways))
-    clouds = tuple(
-        MiniCloud(c, rng.choice(delays), rng.choice(delays), rng.choice(waits), rng.choice((50.0, 1e6)))
-        for c in range(num_clouds)
-    )
-    gw = [[rng.choice(rates) for _ in range(num_clouds)] for _ in range(num_gateways)]
-    cc = [[0.0 if a == b else rng.choice(rates) for b in range(num_clouds)] for a in range(num_clouds)]
-    return Topology(gateways, clouds, LinkMatrix(gw, cc))
 
 
 @pytest.mark.parametrize("make", [make_topology, tie_heavy_topology])
