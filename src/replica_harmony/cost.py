@@ -118,12 +118,10 @@ class CostModel:
         """Replication cost in seconds; fast path without the breakdown.
 
         One pass over the entry candidates with the expressions of
-        breakdown, keeping the first smallest total as min() does, and
-        skipping a candidate whose entry cost alone is >= the best so far.
+        breakdown, keeping the first smallest total as min() does.
         The pass range-checks each cloud id as an entry candidate; an id
         past the end that an inner loop indexes first falls back to
-        check_allocation, so the error names the first bad id either way
-        (the first candidate, never skipped, indexes every id).
+        check_allocation, so the error names the first bad id either way.
         """
         g = d.source_gateway
         if not (0 <= g < self._num_gateways):
@@ -143,9 +141,6 @@ class CostModel:
                 if not (0 <= c < n):
                     raise InvalidAllocation(f"cloud id {c} out of range [0, {n})")
                 entry = gw_wait + entry_row[c] * size
-                # prop >= 0.0 and rounded + is monotone: entry + prop >= best
-                if best is not None and entry >= best:
-                    continue
                 prop_row = prop_base[c]
                 cloud_wait = cloud_waits[c]
                 prop = 0.0

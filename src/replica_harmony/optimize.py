@@ -63,8 +63,6 @@ class Harmony(NamedTuple):
 
 # the one sort key of every harmony memory, population and forest
 _by_cost = attrgetter("cost")
-# _new_tuple(Harmony, (vector, cost)) is Harmony(vector, cost) without its Python-level __new__
-_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -210,12 +208,10 @@ def hs_optimize(problem: PlacementProblem, params: OptParams) -> OptResult:
     feasible = problem.feasible_clouds
     # the harmony memory: a list kept sorted ascending by cost
     memory = sorted(
-        [_new_tuple(Harmony, (v := random_allocation(problem, rng), objective(v)))
+        [Harmony(v := random_allocation(problem, rng), objective(v))
          for _ in range(params.memory_size_hms)],
         key=_by_cost,
     )
-    # members[k] is memory[k].vector.clouds
-    members = [h.vector.clouds for h in memory]
 
     trace = []
     for _ in range(params.exercises):
@@ -225,17 +221,14 @@ def hs_optimize(problem: PlacementProblem, params: OptParams) -> OptResult:
         # memory fills with copies of one harmony every child would be such a
         # repeat and the search would stall; spend the exercise on a fresh
         # random vector instead (the random-selection rule).
-        if child.clouds in members:
+        if any(m.vector.clouds == child.clouds for m in memory):
             child = random_allocation(problem, rng)
         cost = objective(child)
         if cost < memory[-1].cost:
             # the worst goes; the child lands after every harmony of equal
             # cost, where a stable sort would put it
             memory.pop()
-            members.pop()
-            k = bisect.bisect_right(memory, cost, key=_by_cost)
-            memory.insert(k, _new_tuple(Harmony, (child, cost)))
-            members.insert(k, child.clouds)
+            bisect.insort_right(memory, Harmony(child, cost), key=_by_cost)
         trace.append(memory[0].cost)
 
     best = memory[0]
@@ -290,8 +283,7 @@ def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
     pop_size = min(GA_POPULATION, params.budget)
 
     population = sorted(
-        [_new_tuple(Harmony, (v := random_allocation(problem, rng), objective(v)))
-         for _ in range(pop_size)],
+        [Harmony(v := random_allocation(problem, rng), objective(v)) for _ in range(pop_size)],
         key=_by_cost,
     )
     evaluations = pop_size
@@ -312,7 +304,7 @@ def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
             if rng.random() < GA_MUTATION_RATE:
                 child = _mutate_one_position(child, feasible, rng)
             vector = AllocationVector.unchecked(child)
-            next_gen.append(_new_tuple(Harmony, (vector, objective(vector))))
+            next_gen.append(Harmony(vector, objective(vector)))
             evaluations += 1
         population = sorted(next_gen, key=_by_cost)
         best = population[0]
