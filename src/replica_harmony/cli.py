@@ -35,6 +35,7 @@ from .harness import (
     field_values,
     report_from_csv,
     report_to_csv,
+    seed_mean,
     summary_row,
     totals_to_dict,
     win_rate,
@@ -173,7 +174,7 @@ def _plot_csv(reports, algorithms, seeds, metric) -> str:
     for i in range(timesteps):
         cells = [i + 1]
         for algo in algorithms:
-            value = sum(getattr(reports[(algo, s)].series[i], name) for s in seeds) / len(seeds)
+            value = seed_mean([getattr(reports[(algo, s)].series[i], name) for s in seeds])
             if metric == "energy":
                 running[algo] += value
                 value = running[algo]

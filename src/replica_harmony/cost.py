@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import ConfigError, InvalidAllocation
-from .model import AllocationVector, DataItem, Topology, check_allocation
+from .model import AllocationVector, DataItem, Topology, check_allocation, check_distinct
 
 MS_PER_S = 1000.0
 
@@ -154,12 +154,12 @@ class CostModel:
                 if best is None or cand < best:
                     best = cand
         except IndexError:
-            check_allocation(self.topology, a)
+            check_allocation(self.topology, clouds)
             raise
         return best
 
     def breakdown(self, d: DataItem, a: AllocationVector) -> CostBreakdown:
-        check_allocation(self.topology, a)
+        check_allocation(self.topology, a.clouds)
         self._check_gateway(d.source_gateway, "source")
         size = d.size
         gw_wait = self._gw_wait[d.source_gateway]
@@ -192,13 +192,13 @@ class CostModel:
         entry(c) + max(0, the (r-1)-th smallest branch(c, .)). A branch is
         T_c + prop_base[c][c2] * L, and rounded + and * are monotone for
         L >= 0, so every datum ranks c's branches in one order, built on
-        first use: the (r-1)-th feasible cloud in it gives that
-        branch, in O(F * r) for F feasible clouds. Ties go to the
-        lexicographically smallest sorted vector, as in an enumeration of
-        the subsets in order; only entry clouds that reach the optimum are
-        searched for them. The floats are total()'s, so entry + branch <=
-        optimum holds exactly for a prefix of the order that covers the
-        (r-1)-th feasible cloud, and the vector's total() is the optimum, bit for bit.
+        first use: a walk to its (r-1)-th feasible cloud gives that branch,
+        in O(F * r) for F feasible clouds, plus a step per full cloud passed.
+        Ties go to the lexicographically smallest sorted vector, as in an
+        enumeration; only entry clouds that reach the optimum are searched
+        for them. With total()'s floats, entry + branch <= optimum holds
+        exactly up to the (r-1)-th feasible cloud, so the vector's total()
+        is the optimum, bit for bit.
         """
         if not (1 <= r <= len(feasible)):
             raise ValueError(f"need 1 <= r <= {len(feasible)} feasible clouds, got r={r}")
@@ -206,20 +206,15 @@ class CostModel:
         if not size >= 0:
             raise ValueError(f"datum size must be >= 0, got {size}")
         self._check_gateway(d.source_gateway, "source")
-        n = self._num_clouds
-        for c in feasible:
-            if not (0 <= c < n):
-                raise InvalidAllocation(f"cloud id {c} out of range [0, {n})")
+        check_allocation(self.topology, feasible)
+        check_distinct(feasible)
         allowed = set(feasible)
-        if len(allowed) < len(feasible):
-            raise InvalidAllocation(f"duplicate cloud ids in feasible {feasible}")
         gw_wait = self._gw_wait[d.source_gateway]
         entry_row = self._entry_row(d.source_gateway)
         prop_base = self._prop_base
         cloud_waits = self._cloud_wait
         orders = self._orders
-        # with every cloud feasible, the (r-1)-th feasible cloud is order[r-2]
-        walk = len(allowed) < n
+        n = self._num_clouds
         rows = []
         for c in feasible:
             entry = gw_wait + entry_row[c] * size
@@ -229,15 +224,12 @@ class CostModel:
                 if order is None:
                     others = [c2 for c2 in range(n) if c2 != c]
                     order = orders[c] = tuple(sorted(others, key=prop_base[c].__getitem__))
-                if walk:
-                    left = r - 1
-                    for c2 in order:
-                        if c2 in allowed:
-                            left -= 1
-                            if not left:
-                                break
-                else:
-                    c2 = order[r - 2]
+                left = r - 1
+                for c2 in order:
+                    if c2 in allowed:
+                        left -= 1
+                        if not left:
+                            break
                 prop = max(0.0, cloud_waits[c] + prop_base[c][c2] * size)
             rows.append((entry + prop, c, entry))
         optimum = min([row[0] for row in rows])
@@ -263,7 +255,7 @@ class CostModel:
 
     def access_delay(self, d: DataItem, a: AllocationVector, requester: int) -> float:
         """Best-replica retrieval time in seconds for the given gateway."""
-        check_allocation(self.topology, a)
+        check_allocation(self.topology, a.clouds)
         self._check_gateway(requester, "requester")
         size = d.size
         read_row = self._read_row(requester)

@@ -25,8 +25,8 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field, fields
-from functools import cached_property
-from operator import attrgetter
+from functools import cached_property, reduce
+from operator import add, attrgetter
 from statistics import mean, pstdev
 
 from .cost import CostModel, EnergyParams, placement_energy
@@ -90,15 +90,20 @@ class RunReport:
     totals: RunTotals
 
 
+def float_sum(xs) -> float:
+    """xs added left to right, as sum() did before Python 3.12 compensated float sums."""
+    return reduce(add, xs, 0.0)
+
+
 def recompute_totals(series) -> RunTotals:
     """Totals are a pure function of the series; placements weight the means."""
     placed = sum(rec.placed for rec in series)
-    cost = sum(rec.mean_cost_s * rec.placed for rec in series)
-    delay = sum(rec.mean_delay_s * rec.placed for rec in series)
+    cost = float_sum(rec.mean_cost_s * rec.placed for rec in series)
+    delay = float_sum(rec.mean_delay_s * rec.placed for rec in series)
     return RunTotals(
         mean_cost_s=cost / placed if placed else 0.0,
         mean_delay_s=delay / placed if placed else 0.0,
-        energy_j=sum(rec.energy_j for rec in series),
+        energy_j=float_sum(rec.energy_j for rec in series),
         placed=placed,
         failures=sum(rec.failures for rec in series),
     )
@@ -348,9 +353,9 @@ def win_rate(a_by_seed, b_by_seed) -> tuple[float, int]:
     return (score / len(paired) if paired else math.nan), len(paired)
 
 
-def _mean(xs: list[float]) -> float:
-    """sum(xs) / len(xs), or the exact statistics.mean when that sum overflows."""
-    total = sum(xs)
+def seed_mean(xs: list[float]) -> float:
+    """The mean over seeds in comparison.csv and the plots; the exact statistics.mean if float_sum overflows."""
+    total = float_sum(xs)
     return total / len(xs) if math.isfinite(total) else mean(xs)
 
 
@@ -361,11 +366,11 @@ def summary_row(algorithm: str, reports) -> ComparisonRow:
     energies = [r.totals.energy_j for r in reports]
     return ComparisonRow(
         algorithm=algorithm,
-        mean_cost_s=_mean(costs),
+        mean_cost_s=seed_mean(costs),
         std_cost_s=pstdev(costs),
-        mean_delay_s=_mean(delays),
+        mean_delay_s=seed_mean(delays),
         std_delay_s=pstdev(delays),
-        mean_energy_j=_mean(energies),
+        mean_energy_j=seed_mean(energies),
         std_energy_j=pstdev(energies),
         placed=sum(r.totals.placed for r in reports),
         failures=sum(r.totals.failures for r in reports),

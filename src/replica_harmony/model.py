@@ -124,7 +124,7 @@ class AllocationVector:
             if type(c) is not int:
                 raise InvalidAllocation(f"cloud id {c!r} is not an int")
         object.__setattr__(self, "clouds", clouds)
-        _check_distinct(clouds)
+        check_distinct(clouds)
 
     @classmethod
     def unchecked(cls, clouds: tuple[int, ...]) -> AllocationVector:
@@ -214,17 +214,18 @@ def validate_topology(t: Topology) -> list[str]:
     return violations
 
 
-def _check_distinct(clouds: tuple[int, ...]) -> None:
+def check_distinct(clouds: tuple[int, ...]) -> None:
+    """Raise InvalidAllocation unless clouds holds at least one id and no id twice."""
     if not clouds:
         raise InvalidAllocation("allocation vector must hold at least one cloud id")
     if len(set(clouds)) != len(clouds):
         raise InvalidAllocation(f"duplicate cloud ids in allocation {clouds}")
 
 
-def check_allocation(t: Topology, a: AllocationVector) -> None:
-    """Raise InvalidAllocation unless every id in ``a`` names a cloud of ``t``."""
+def check_allocation(t: Topology, clouds: tuple[int, ...]) -> None:
+    """Raise InvalidAllocation unless every id in clouds names a cloud of ``t``."""
     n = len(t.clouds)
-    for c in a.clouds:
+    for c in clouds:
         if not (0 <= c < n):
             raise InvalidAllocation(f"cloud id {c} out of range [0, {n})")
 
@@ -236,8 +237,8 @@ def commit_placement(t: Topology, d: DataItem, a: AllocationVector) -> Topology:
     repeated or out-of-range id vector, and CapacityExceeded (naming the
     first offending cloud) without touching any state if one target lacks room.
     """
-    _check_distinct(a.clouds)
-    check_allocation(t, a)
+    check_distinct(a.clouds)
+    check_allocation(t, a.clouds)
     clouds = list(t.clouds)
     for c in a.clouds:
         if clouds[c].free_capacity < d.size:

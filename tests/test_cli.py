@@ -852,6 +852,25 @@ def test_report_means_do_not_overflow(tmp_path, capsys):
     assert "mean cost (s): hs=1e+308" in capsys.readouterr().out
 
 
+def test_plot_means_do_not_overflow_where_the_table_does_not(tmp_path):
+    # one 1e308-second datum per seed: the two costs overflow as a sum, not
+    # as a mean, and the one-timestep plot point is comparison.csv's mean
+    spec = ScenarioSpec(
+        name="ovf", num_gateways=1, num_clouds=3, timesteps=1, arrival_probability=1.0,
+        gw_rate_range_bytes_per_s=(2e-306, 2e-306), cloud_rate_range_bytes_per_s=(2e-306, 2e-306),
+        data_size_range_bytes=(100, 100), rw_delay_range_ms_per_byte=(0.0, 0.0),
+        waiting_time_range_s=(0.0, 0.0),
+    )
+    spec_path = tmp_path / "ovf.json"
+    spec_path.write_text(scenario_to_json(spec))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--scenario", str(spec_path), "--seeds", "2", "--out", str(out)]) == 0
+    table = {row["algorithm"]: row["mean_cost_s"] for row in csv.DictReader((out / "comparison.csv").open())}
+    [point] = csv.DictReader((out / "plot_ovf_cost.csv").open())
+    assert table == {algo: point[algo] for algo in table}
+    assert set(table.values()) == {"1e+308"}
+
+
 def test_report_rejects_two_files_for_one_trial(tmp_path, capsys):
     spec_path = tmp_path / "tiny.json"
     write_tiny_scenario(spec_path)

@@ -25,11 +25,12 @@ from replica_harmony.harness import (
     run_grid,
     run_trial,
     run_trial_detailed,
+    seed_mean,
     totals_to_dict,
     win_rate,
 )
-from replica_harmony.model import Policy, json_text
-from replica_harmony.optimize import PlacementProblem
+from replica_harmony.model import Policy, commit_placement, json_text
+from replica_harmony.optimize import PlacementProblem, exhaustive_best
 from replica_harmony.scenario import ScenarioSpec, builtin_scenario
 from replica_harmony.seeding import derive_seed
 
@@ -336,6 +337,51 @@ def test_check_totals_rejects_tampered_totals():
         tampered = dataclasses.replace(report, totals=dataclasses.replace(report.totals, **change))
         with pytest.raises(MalformedInput, match="not the summary run writes"):
             check_summary(report, json_text(totals_to_dict(tampered)))
+
+
+def test_float_totals_add_left_to_right_on_every_python():
+    # Python 3.12's sum() compensates: 1.0 + 1e-16 + 1e-16 would come out
+    # one ulp above the left-to-right sum, and so would every byte after it
+    series = [TimestepRecord(t, cost, 0.0, cost, 1, 0) for t, cost in enumerate((1.0, 1e-16, 1e-16), 1)]
+    want = (1.0 + 1e-16 + 1e-16) / 3
+    totals = recompute_totals(series)
+    assert (totals.mean_cost_s, totals.energy_j) == (want, 1.0 + 1e-16 + 1e-16)
+    assert seed_mean([1.0, 1e-16, 1e-16]) == want
+
+
+def test_best_allocation_bounds_every_placement_where_capacity_binds():
+    # replay each trial's placements from the empty topology: at every datum
+    # the solver on the faced feasible set is a lower bound on the placed
+    # vector's cost, and exhaustive trials place exactly the enumeration's answer
+    spec = small_spec(capacity_range_bytes=(300.0, 600.0))
+    experiment = build_experiment(spec, 7)
+    model = experiment.model
+    placed = failed = walked = 0
+    for algorithm in ("hs", "random", "ga", "foa", "exhaustive"):
+        trial = run_trial_detailed(spec, algorithm, 7, experiment=experiment)
+        current = experiment.topology
+        for d, vector in trial.placements:
+            room = [c.id for c in current.clouds if c.free_capacity >= d.size]
+            if vector is None:
+                assert len(room) < d.replica_count, (algorithm, d.id)
+                failed += 1
+                continue
+            assert len(room) >= d.replica_count, (algorithm, d.id)
+            problem = PlacementProblem(current, d, model.objective(d))
+            assert list(problem.feasible_clouds) == room
+            best, cost = model.best_allocation(d, problem.feasible_clouds, d.replica_count)
+            assert cost.hex() == model.total(d, best).hex()
+            assert cost <= model.total(d, vector), (algorithm, d.id)
+            if algorithm == "exhaustive":
+                oracle = exhaustive_best(problem)
+                assert (vector, model.total(d, vector).hex()) == (oracle.best, oracle.best_cost.hex())
+                assert (best, cost.hex()) == (oracle.best, oracle.best_cost.hex())
+            walked += d.replica_count > 1 and len(room) < spec.num_clouds
+            placed += 1
+            current = commit_placement(current, d, vector)
+        assert current == trial.final_topology
+    # the solver walked past full clouds, and some data found too few clouds with room
+    assert placed > 50 and walked > 30 and failed > 0, (placed, walked, failed)
 
 
 def test_csv_round_trip():

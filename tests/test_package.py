@@ -87,3 +87,24 @@ def test_unit_bearing_json_keys_are_declared_once():
     source = "".join(path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py")))
     keys = ("read_delay_ms_per_byte", "write_delay_ms_per_byte", "total_capacity_bytes", "used_capacity_bytes")
     assert {key: source.count(key) for key in keys} == dict.fromkeys(keys, 1)
+
+
+def test_allocation_rules_are_spelled_in_model_py():
+    # model.check_allocation and model.check_distinct own the cloud-id rules;
+    # only CostModel.total repeats the range check, inline in its hot loop
+    phrases = ("out of range [0,", "duplicate cloud ids")
+    sites = {phrase: [] for phrase in phrases}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                owner.update((node, f"{path.stem}.{func.name}") for node in ast.walk(func))
+        for node in ast.walk(tree):
+            for phrase in phrases:
+                if isinstance(node, ast.Constant) and phrase in str(node.value):
+                    sites[phrase].append(owner.get(node, f"{path.stem}:{node.lineno}"))
+    assert sites == {
+        "out of range [0,": ["cost.total", "model.check_allocation"],
+        "duplicate cloud ids": ["model.check_distinct"],
+    }
