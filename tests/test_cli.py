@@ -911,6 +911,34 @@ def test_help_exits_zero():
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Runs in a fresh interpreter: imports the package from src/, runs each argv
+# and prints the exit codes and which OpenSSL-backed modules got loaded.
+OPENSSL_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from replica_harmony import cli
+codes = [cli.main(json.loads(argv)) for argv in sys.argv[2:]]
+print(json.dumps({"codes": codes, "loaded": [m for m in ("_hashlib", "ssl") if m in sys.modules]}))
+"""
+
+
+def test_run_and_compare_never_load_openssl(tmp_path, monkeypatch):
+    # seeding hashes with CPython's built-in SHA-256: hashlib would map
+    # OpenSSL's libcrypto into every job for the same digest
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    argvs = [
+        ["run", "--scenario", str(spec_path), "--algo", "hs", "--out", str(tmp_path / "run")],
+        ["compare", "--scenario", str(spec_path), "--algo", "hs", "--algo", "random",
+         "--seeds", "2", "--out", str(tmp_path / "compare")],
+    ]
+    probe = subprocess.run(
+        [sys.executable, "-I", "-c", OPENSSL_PROBE, str(ROOT / "src"), *map(json.dumps, argvs)],
+        capture_output=True, text=True, check=True, cwd=tmp_path, timeout=120,
+    )
+    assert json.loads(probe.stdout.splitlines()[-1]) == {"codes": [0, 0], "loaded": []}
+
 
 def perfbench_tracing():
     """perfbench/tracing.py, loaded without installing its wrappers."""
