@@ -6,7 +6,8 @@ reports), compare (comparison table, win rates, plot data), report
 seed flags, REPLICA_HARMONY_SEED, or a scenario file's seed field, in that
 order of precedence; identical invocations produce identical bytes.
 Trials run serially; --threads is accepted and validated but changes
-nothing.
+nothing. The first main() call in a process freezes the heap the imports
+built (gc.freeze), so the full collections CPython runs at exit skip it.
 
 Exit codes, one error class each: 0 ok, 2 ConfigError (bad options or
 input files), 3 Infeasible, 4 MalformedInput (a bad trial file for report)
@@ -16,6 +17,8 @@ or an OSError, 5 anything else (an internal error).
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
 import os
 import sys
@@ -308,7 +311,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _freeze_heap_once() -> None:
+    """Move the heap built so far, mostly the imports, to the permanent
+    generation, which no later full collection walks: not even the ones
+    CPython runs while the process exits."""
+    # cached, so a long-lived caller does not freeze new garbage on every
+    # call; gc.get_freeze_count() cannot tell, as Python 3.12 starts with
+    # objects frozen (375 on 3.12.1)
+    gc.freeze()
+
+
 def main(argv=None) -> int:
+    _freeze_heap_once()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

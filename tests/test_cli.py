@@ -912,13 +912,18 @@ def test_help_exits_zero():
 ROOT = Path(__file__).resolve().parent.parent
 
 # Runs in a fresh interpreter: imports the package from src/, runs each argv
-# and prints the exit codes and which OpenSSL-backed modules got loaded.
+# and prints the exit codes, which OpenSSL-backed modules got loaded, and the
+# collector's freeze count at the start and after each call.
 OPENSSL_PROBE = """
-import json, sys
+import gc, json, sys
 sys.path.insert(0, sys.argv[1])
 from replica_harmony import cli
-codes = [cli.main(json.loads(argv)) for argv in sys.argv[2:]]
-print(json.dumps({"codes": codes, "loaded": [m for m in ("_hashlib", "ssl") if m in sys.modules]}))
+codes, frozen = [], [gc.get_freeze_count()]
+for argv in sys.argv[2:]:
+    codes.append(cli.main(json.loads(argv)))
+    frozen.append(gc.get_freeze_count())
+print(json.dumps({"codes": codes, "loaded": [m for m in ("_hashlib", "ssl") if m in sys.modules],
+                  "frozen": frozen}))
 """
 
 
@@ -937,7 +942,16 @@ def test_run_and_compare_never_load_openssl(tmp_path, monkeypatch):
         [sys.executable, "-I", "-c", OPENSSL_PROBE, str(ROOT / "src"), *map(json.dumps, argvs)],
         capture_output=True, text=True, check=True, cwd=tmp_path, timeout=120,
     )
-    assert json.loads(probe.stdout.splitlines()[-1]) == {"codes": [0, 0], "loaded": []}
+    result = json.loads(probe.stdout.splitlines()[-1])
+    frozen = result.pop("frozen")
+    assert result == {"codes": [0, 0], "loaded": []}
+    # The first cli.main call freezes the import-time heap, so the collections
+    # CPython runs at exit skip it; the second freezes nothing more. A frozen
+    # object can still be freed (compare drops a few of abc's cached weak
+    # references), so the count may fall; a second freeze would raise it by
+    # what the first job left alive.
+    startup, first, second = frozen
+    assert startup < first and second <= first, frozen
 
 
 def perfbench_tracing():

@@ -453,6 +453,24 @@ def test_random_search_finds_small_optimum():
         assert found.best_cost == best.best_cost
 
 
+@pytest.mark.parametrize("problem_seed,num_clouds,replicas", [(21, 5, 2), (22, 7, 2), (23, 8, 3)])
+def test_random_search_mean_best_is_the_exact_expectation(problem_seed, num_clouds, replicas):
+    # A uniform draw of r distinct clouds makes each of the N r-subsets equally
+    # likely, so with subset costs sorted c_1 <= ... <= c_N the best of B
+    # draws is c_i with probability ((N-i+1)/N)^B - ((N-i)/N)^B. The mean best
+    # over many seeds must sit within a few standard errors of that value.
+    budget, seeds = 15, 2000
+    problem = make_problem(problem_seed, num_clouds, replicas)
+    costs = sorted(problem.objective(AllocationVector(combo))
+                   for combo in itertools.combinations(problem.feasible_clouds, replicas))
+    n = len(costs)
+    exact = sum(c * (((n - i) / n) ** budget - ((n - i - 1) / n) ** budget) for i, c in enumerate(costs))
+    bests = [random_search(problem, budget, random.Random(seed)).best_cost for seed in range(seeds)]
+    mean = math.fsum(bests) / seeds
+    stderr = math.sqrt(math.fsum((b - mean) ** 2 for b in bests) / (seeds - 1) / seeds)
+    assert abs(mean - exact) < 4 * stderr, (mean, exact, stderr)
+
+
 def test_ga_single_point_space():
     result = ga_optimize(tiny_problem(), GAParams(seed=1, budget=40))
     assert sorted(result.best.clouds) == [0, 1]

@@ -45,6 +45,23 @@ def test_only_config_errors_exit_2():
     assert raised == []
 
 
+def test_only_the_cli_touches_the_garbage_collector():
+    # cli.main freezes the import-time heap once per process; the library
+    # entry points (run_grid, compare_algorithms) leave the collector alone
+    users = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if "gc" in names:
+                users.append(path.name)
+    assert users == ["cli.py"]
+
+
 def test_each_file_format_has_one_writer():
     # every CSV goes through harness.csv_text and every JSON file through
     # model.json_text, so quoting and number formatting are decided once
