@@ -5,9 +5,11 @@ reports), compare (comparison table, win rates, plot data), report
 (rankings from a directory of run outputs). All randomness flows from the
 seed flags, REPLICA_HARMONY_SEED, or a scenario file's seed field, in that
 order of precedence; identical invocations produce identical bytes.
-Trials run serially; --threads is accepted and validated but changes
-nothing. The first main() call in a process freezes the heap the imports
-built (gc.freeze), so the full collections CPython runs at exit skip it.
+--threads N runs the (scenario, seed) units of run and compare on up to N
+processes, one per CPU, with the same output bytes (harness.fan_out); at 1
+they run in this process. The first main() call in a process freezes the
+heap the imports built (gc.freeze), so the full collections CPython runs at
+exit skip it.
 
 Exit codes, one error class each: 0 ok, 2 ConfigError (bad options or
 input files), 3 Infeasible, 4 MalformedInput (a bad trial file for report)
@@ -32,7 +34,7 @@ from .harness import (
     ComparisonRow,
     TrialOptions,
     check_summary,
-    compare_algorithms,
+    comparison_table,
     csv_text,
     draw_scenario,
     field_values,
@@ -44,7 +46,7 @@ from .harness import (
     win_rate,
 )
 # perfbench/tracing.py looks up cli._run_many by name
-from .harness import run_grid as _run_many
+from .harness import run_grids as _run_many
 from .model import dataclass_from_json, json_doc, json_text, topology_to_json
 from .scenario import ScenarioSpec, builtin_scenario
 
@@ -158,7 +160,7 @@ def cmd_run(args) -> int:
     options = _trial_options(args)
     out = Path(args.out)
 
-    reports = _run_many(spec, args.algo, seeds, options)
+    (reports,) = _run_many([(spec, seeds)], args.algo, options, args.threads)
     slug = _slug(spec.name)
     for (algo, seed), report in reports.items():
         stem = f"trial_{slug}_{algo}_seed{seed}"
@@ -196,17 +198,18 @@ def cmd_compare(args) -> int:
     options = _trial_options(args)
     out = Path(args.out)
 
-    # every scenario runs before any file is written, so a failing one leaves none
+    # every scenario's trials run, in one fan-out, before any file is written,
+    # so a failing one leaves none
+    grids = [(spec, resolve_seeds(args.seeds, _env_seed(spec.seed))) for spec in specs]
     comparison_rows = []
     win_rows = []
     plots = {}
-    for spec, slug in zip(specs, slugs):
-        seeds = resolve_seeds(args.seeds, _env_seed(spec.seed))
-        table = compare_algorithms(spec, args.algo, seeds, options)
+    for (spec, seeds), slug, reports in zip(grids, slugs, _run_many(grids, args.algo, options, args.threads)):
+        table = comparison_table(spec, args.algo, seeds, reports)
         comparison_rows += [(spec.name, *_row_values(row)) for row in table.rows]
         win_rows += [(spec.name, a, b, rate) for (a, b), rate in sorted(table.win_rates.items())]
         for metric in PLOT_FIELDS:
-            plots[f"plot_{slug}_{metric}.csv"] = _plot_csv(table.reports, list(args.algo), seeds, metric)
+            plots[f"plot_{slug}_{metric}.csv"] = _plot_csv(reports, list(args.algo), seeds, metric)
 
     for name, text in plots.items():
         _write(out / name, text)
@@ -283,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--energy-params", help="JSON file with e_uplink/e_intercloud/e_write")
         p.add_argument(
             "--threads", type=_thread_count, default=1,
-            help="accepted and validated (>= 1); trials run serially",
+            help="worker processes (>= 1), at most one per CPU and per (scenario, seed); default 1",
         )
 
     p_gen = sub.add_parser("generate", help="write topology and workload files")

@@ -16,6 +16,10 @@ class CapacityExceeded(ReplicaHarmonyError):
         self.cloud_id = cloud_id
         super().__init__(message or f"cloud {cloud_id} has insufficient free capacity")
 
+    def __reduce__(self):
+        # the default rebuilds from self.args, the message alone, as the cloud id
+        return type(self), (self.cloud_id, *self.args)
+
 
 class Infeasible(ReplicaHarmonyError):
     """Fewer feasible clouds than required replicas: exit 3."""

@@ -22,11 +22,13 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import sys
+import threading
 from dataclasses import dataclass, field, fields
-from functools import cached_property, reduce
-from operator import add, attrgetter
+from functools import cached_property, partial, reduce
+from operator import add, attrgetter, itemgetter
 from statistics import mean, pstdev
 
 from .cost import CostModel, EnergyParams, placement_energy
@@ -306,35 +308,141 @@ class ComparisonTable:
     reports: dict[tuple[str, int], RunReport]
 
 
+def run_grids(grids, algorithms, options: TrialOptions = TrialOptions(), workers: int = 1) -> list[dict]:
+    """Every (algorithm, seed) trial of each (spec, seeds) grid: one report
+    dict per grid, keyed (algorithm, seed) algorithm-major in argument order.
+
+    Every grid is checked before any trial runs. Each (spec, seed) pair is
+    one unit of fan_out: every algorithm runs on that seed's one Experiment.
+    """
+    algorithms = list(algorithms)
+    grids = [(spec, list(seeds)) for spec, seeds in grids]
+    for _, seeds in grids:
+        if not algorithms or not seeds:
+            raise ConfigError("need at least one algorithm and one seed")
+        if len(set(seeds)) != len(seeds):
+            raise ConfigError(f"seeds {seeds} repeat a seed")
+        if len(set(algorithms)) != len(algorithms):
+            raise ConfigError(f"algorithms {algorithms} repeat an algorithm")
+    units = [(spec, seed) for spec, seeds in grids for seed in seeds]
+    done = iter(fan_out(partial(_run_seed, algorithms, options), units, workers))
+    results = []
+    for _, seeds in grids:
+        reports = {}
+        for _ in seeds:
+            reports.update(next(done))
+        results.append({(algo, seed): reports[(algo, seed)] for algo in algorithms for seed in seeds})
+    return results
+
+
 def run_grid(
     spec: ScenarioSpec,
     algorithms,
     seeds,
     options: TrialOptions = TrialOptions(),
+    workers: int = 1,
 ) -> dict[tuple[str, int], RunReport]:
-    """Every (algorithm, seed) trial, keyed algorithm-major in argument order.
-
-    Seed by seed, every algorithm runs on that seed's one Experiment.
-    """
-    algorithms = list(algorithms)
-    seeds = list(seeds)
-    if not algorithms or not seeds:
-        raise ConfigError("need at least one algorithm and one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"seeds {seeds} repeat a seed")
-    if len(set(algorithms)) != len(algorithms):
-        raise ConfigError(f"algorithms {algorithms} repeat an algorithm")
-    reports = {}
-    for seed in seeds:
-        reports.update(_run_seed(spec, algorithms, seed, options))
-    return {(algo, seed): reports[(algo, seed)] for algo in algorithms for seed in seeds}
+    """Every (algorithm, seed) trial, keyed algorithm-major in argument order."""
+    return run_grids([(spec, seeds)], algorithms, options, workers)[0]
 
 
-def _run_seed(spec, algorithms, seed, options) -> dict[tuple[str, int], RunReport]:
+def _run_seed(algorithms, options, unit) -> dict[tuple[str, int], RunReport]:
     # The experiment lives only in this frame, so the next seed's is built
     # after this one has been freed.
+    spec, seed = unit
     experiment = build_experiment(spec, seed)
     return {(algo, seed): run_trial(spec, algo, seed, options, experiment) for algo in algorithms}
+
+
+def fan_out(run, units, workers: int = 1) -> list:
+    """[run(unit) for unit in units], spread over up to `workers` processes.
+
+    The process count is min(workers, len(units), the CPUs this process
+    may run on). At 1, where os.fork or CPU pinning is missing, or while
+    other threads are alive, the units run here, in order. Otherwise the process forks one
+    child per extra worker, unit i goes to worker i % count, this process
+    being worker 0, and each worker pins itself to one CPU of the mask:
+    two unpinned CPU-bound processes can share one CPU for the whole job.
+    A worker stops at its first failing unit, and the exception of the
+    lowest failing unit index is raised once every child has been reaped,
+    the one a serial run would raise.
+    """
+    units = list(units)
+    forkable = hasattr(os, "fork") and hasattr(os, "sched_setaffinity") and threading.active_count() == 1
+    if workers > 1 and len(units) > 1 and forkable:
+        cpus = sorted(os.sched_getaffinity(0))[:workers]
+        if len(cpus) > 1:
+            return _forked(run, units, cpus)
+    return [run(unit) for unit in units]
+
+
+def _run_share(run, units, worker: int, count: int) -> tuple[dict, tuple[int, Exception] | None]:
+    """Run every count-th unit from index worker: ({index: result}, the first failure or None)."""
+    done = {}
+    for i in range(worker, len(units), count):
+        try:
+            done[i] = run(units[i])
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _forked(run, units, cpus) -> list:
+    import pickle  # only a fan-out over processes needs it, so serial runs never import it
+
+    count = len(cpus)
+    mask = os.sched_getaffinity(0)
+    children = []  # (worker, pid, read end of its pipe)
+    done: dict = {}
+    failures = []
+    try:
+        for worker in range(1, count):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _child(run, units, worker, cpus, write_fd)
+            os.close(write_fd)
+            children.append((worker, pid, read_fd))
+        os.sched_setaffinity(0, {cpus[0]})
+        share, failure = _run_share(run, units, 0, count)
+        done.update(share)
+        failures.append(failure)
+    finally:
+        os.sched_setaffinity(0, mask)
+        for worker, pid, read_fd in children:
+            with open(read_fd, "rb") as pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            try:
+                share, failure = pickle.loads(payload)
+            except Exception as exc:  # the child died before it sent its results, or they do not unpickle
+                error = RuntimeError(f"worker {worker} sent no readable results (wait status {status}): {exc!r}")
+                share, failure = {}, (worker, error)
+            done.update(share)
+            failures.append(failure)
+    failures = [failure for failure in failures if failure is not None]
+    if failures:
+        raise min(failures, key=itemgetter(0))[1]
+    return [done[i] for i in range(len(units))]
+
+
+def _child(run, units, worker: int, cpus, write_fd: int) -> None:
+    """A forked worker's whole life: pin, run its share, pickle it into the pipe, os._exit."""
+    import pickle
+
+    try:
+        os.sched_setaffinity(0, {cpus[worker]})
+        share, failure = _run_share(run, units, worker, len(cpus))
+        try:
+            payload = pickle.dumps((share, failure))
+        except Exception as exc:  # a result or an exception that does not pickle
+            index = failure[0] if failure else worker
+            payload = pickle.dumps(({}, (index, RuntimeError(f"worker {worker}: {exc!r}"))))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
 
 
 def win_rate(a_by_seed, b_by_seed) -> tuple[float, int]:
@@ -382,10 +490,15 @@ def compare_algorithms(
     algorithms,
     seeds,
     options: TrialOptions = TrialOptions(),
+    workers: int = 1,
 ) -> ComparisonTable:
     algorithms = list(algorithms)
     seeds = list(seeds)
-    reports = run_grid(spec, algorithms, seeds, options)
+    return comparison_table(spec, algorithms, seeds, run_grid(spec, algorithms, seeds, options, workers))
+
+
+def comparison_table(spec: ScenarioSpec, algorithms, seeds, reports) -> ComparisonTable:
+    """The table of run_grid's reports for (spec, algorithms, seeds)."""
     by_seed = {algo: {seed: reports[(algo, seed)] for seed in seeds} for algo in algorithms}
     return ComparisonTable(
         scenario=spec.name,

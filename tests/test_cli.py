@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import replica_harmony
-from replica_harmony import cli
+from replica_harmony import cli, harness
 from replica_harmony.cli import main, resolve_seeds
 from replica_harmony.errors import (
     CapacityExceeded,
@@ -42,6 +43,8 @@ from replica_harmony.scenario import (
     scenario_from_json,
     scenario_to_json,
 )
+
+from test_harness import TWO, assert_no_child_left
 
 
 def write_tiny_scenario(path, name="tiny", **overrides):
@@ -575,6 +578,78 @@ def test_run_fixed_exercises_output_digests(tmp_path, monkeypatch):
     assert _output_digests(tmp_path, spec_text, argv) == FIXED_EXERCISE_DIGESTS
 
 
+def counting_forks(monkeypatch) -> list:
+    """The pids os.fork returns in this process from now on."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+@pytest.mark.parametrize("command, seeds", [("compare", "0,1"), ("run", "0,1,2")])
+def test_threads_write_the_same_bytes(tmp_path, monkeypatch, command, seeds):
+    # compare: 2 scenarios x 2 seeds, run: 3 seeds, so every job has more
+    # (scenario, seed) units than workers
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    write_tiny_scenario(tmp_path / "a.json", name="a")
+    write_tiny_scenario(tmp_path / "b.json", name="b")
+    scenarios = ["--scenario", str(tmp_path / "a.json")]
+    if command == "compare":
+        scenarios += ["--scenario", str(tmp_path / "b.json")]
+    forks = counting_forks(monkeypatch)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        argv = [command, *scenarios, "--algo", "hs", "--algo", "random", "--seeds", seeds,
+                "--threads", threads, "--out", str(out)]
+        assert main(argv) == 0
+        assert_no_child_left()
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert len(forks) == TWO - 1
+
+
+@pytest.mark.parametrize(
+    "failing", [{1}, {2}, {1, 2}, {0, 1}], ids=lambda seeds: "seeds" + "".join(map(str, sorted(seeds)))
+)
+@pytest.mark.parametrize(
+    "error, code, shown",
+    [(lambda seed: ConfigError(f"seed {seed} fails"), 2, str), (CapacityExceeded, 5, repr)],
+    ids=["config", "capacity"],
+)
+def test_a_failing_unit_fails_the_job_as_a_serial_run_does(tmp_path, capsys, monkeypatch, failing, error, code,
+                                                           shown):
+    # at --threads 2, seeds 0 and 2 run in this process and seed 1 in a child;
+    # the earliest failing seed's error is the one reported
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    original = harness.build_experiment
+
+    def failing_seeds(spec, seed):
+        if seed in failing:
+            raise error(seed)
+        return original(spec, seed)
+
+    monkeypatch.setattr(harness, "build_experiment", failing_seeds)
+    write_tiny_scenario(tmp_path / "tiny.json")
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        argv = ["run", "--scenario", str(tmp_path / "tiny.json"), "--algo", "hs", "--seeds", "0,1,2",
+                "--threads", threads, "--out", str(out)]
+        results.append((main(argv), capsys.readouterr().err))
+        assert not out.exists()
+        assert_no_child_left()
+    assert results[0] == results[1]
+    assert results[0] == (code, f"error: {shown(error(min(failing)))}\n")
+
+
 def test_run_rejects_bad_algorithm(tmp_path):
     code = main(["run", "--scenario", "builtin:1", "--algo", "nosuch", "--out", str(tmp_path)])
     assert code == 2
@@ -911,40 +986,57 @@ def test_help_exits_zero():
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs in a fresh interpreter: imports the package from src/, runs each argv
-# and prints the exit codes, which OpenSSL-backed modules got loaded, and the
-# collector's freeze count at the start and after each call.
-OPENSSL_PROBE = """
-import gc, json, sys
+# Runs in a fresh interpreter: imports the package from src/, counts the
+# children os.fork makes, runs each argv and prints the exit codes, which of
+# the watched modules got loaded, the fork count, and the collector's freeze
+# count at the start and after each call.
+PROBE = """
+import gc, json, os, sys
 sys.path.insert(0, sys.argv[1])
 from replica_harmony import cli
+forks = []
+fork = os.fork
+def counting_fork():
+    pid = fork()
+    forks.append(pid)
+    return pid
+os.fork = counting_fork
 codes, frozen = [], [gc.get_freeze_count()]
 for argv in sys.argv[2:]:
     codes.append(cli.main(json.loads(argv)))
     frozen.append(gc.get_freeze_count())
-print(json.dumps({"codes": codes, "loaded": [m for m in ("_hashlib", "ssl") if m in sys.modules],
-                  "frozen": frozen}))
+print(json.dumps({"codes": codes, "loaded": [m for m in ("_hashlib", "ssl", "pickle") if m in sys.modules],
+                  "forks": len(forks), "frozen": frozen}))
 """
+
+
+def run_probe(tmp_path, argvs) -> dict:
+    probe = subprocess.run(
+        [sys.executable, "-I", "-c", PROBE, str(ROOT / "src"), *map(json.dumps, argvs)],
+        capture_output=True, text=True, check=True, cwd=tmp_path, timeout=120,
+    )
+    return json.loads(probe.stdout.splitlines()[-1])
+
+
+def probe_argvs(tmp_path, *flags) -> list:
+    """A run and a compare of a tiny scenario, each with flags."""
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    return [
+        ["run", "--scenario", str(spec_path), "--algo", "hs", *flags, "--out", str(tmp_path / "run")],
+        ["compare", "--scenario", str(spec_path), "--algo", "hs", "--algo", "random",
+         "--seeds", "2", *flags, "--out", str(tmp_path / "compare")],
+    ]
 
 
 def test_run_and_compare_never_load_openssl(tmp_path, monkeypatch):
     # seeding hashes with CPython's built-in SHA-256: hashlib would map
     # OpenSSL's libcrypto into every job for the same digest
     monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
-    spec_path = tmp_path / "tiny.json"
-    write_tiny_scenario(spec_path)
-    argvs = [
-        ["run", "--scenario", str(spec_path), "--algo", "hs", "--out", str(tmp_path / "run")],
-        ["compare", "--scenario", str(spec_path), "--algo", "hs", "--algo", "random",
-         "--seeds", "2", "--out", str(tmp_path / "compare")],
-    ]
-    probe = subprocess.run(
-        [sys.executable, "-I", "-c", OPENSSL_PROBE, str(ROOT / "src"), *map(json.dumps, argvs)],
-        capture_output=True, text=True, check=True, cwd=tmp_path, timeout=120,
-    )
-    result = json.loads(probe.stdout.splitlines()[-1])
+    result = run_probe(tmp_path, probe_argvs(tmp_path))
     frozen = result.pop("frozen")
-    assert result == {"codes": [0, 0], "loaded": []}
+    assert result["codes"] == [0, 0]
+    assert "_hashlib" not in result["loaded"] and "ssl" not in result["loaded"]
     # The first cli.main call freezes the import-time heap, so the collections
     # CPython runs at exit skip it; the second freezes nothing more. A frozen
     # object can still be freed (compare drops a few of abc's cached weak
@@ -952,6 +1044,26 @@ def test_run_and_compare_never_load_openssl(tmp_path, monkeypatch):
     # what the first job left alive.
     startup, first, second = frozen
     assert startup < first and second <= first, frozen
+
+
+def test_serial_run_and_compare_never_fork_or_import_pickle(tmp_path, monkeypatch):
+    # at --threads 1 the units run in the job's own process, so a one-worker
+    # job pays for neither a child nor the pickle import
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    result = run_probe(tmp_path, probe_argvs(tmp_path, "--threads", "1"))
+    assert (result["codes"], result["loaded"], result["forks"]) == ([0, 0], [], 0)
+
+
+def test_threads_beyond_the_units_and_cpus_fork_no_more(tmp_path, monkeypatch):
+    # a 2-unit job at --threads 64 makes min(CPUs, 2) workers: this process and at most one child
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    spec_path = tmp_path / "tiny.json"
+    write_tiny_scenario(spec_path)
+    argv = ["run", "--scenario", str(spec_path), "--algo", "hs", "--seeds", "2", "--threads", "64",
+            "--out", str(tmp_path / "run")]
+    result = run_probe(tmp_path, [argv])
+    assert (result["codes"], result["forks"]) == ([0], TWO - 1)
+    assert result["loaded"] == (["pickle"] if TWO == 2 else [])
 
 
 def perfbench_tracing():

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import os
 import random
 import weakref
 from collections import Counter
@@ -19,6 +20,7 @@ from replica_harmony.harness import (
     build_experiment,
     check_summary,
     compare_algorithms,
+    fan_out,
     recompute_totals,
     report_from_csv,
     report_to_csv,
@@ -204,6 +206,90 @@ def test_run_grid_frees_each_experiment_before_the_next(monkeypatch, stride):
     monkeypatch.setattr(harness, "build_experiment", tracked)
     run_grid(small_spec(timesteps=5), ["hs", "random"], [0, stride, 2 * stride])
     assert len(previous) == 3
+
+
+# a fan-out forks min(workers, units, CPUs) - 1 children, never more processes than CPUs
+CPUS = len(os.sched_getaffinity(0))
+TWO = min(2, CPUS)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def where(unit):
+    """The unit, the process that ran it and the CPUs that process may use."""
+    return unit, os.getpid(), os.sched_getaffinity(0)
+
+
+def test_fan_out_stripes_units_over_pinned_workers():
+    mask = os.sched_getaffinity(0)
+    results = fan_out(where, range(5), 2)
+    assert [unit for unit, _, _ in results] == list(range(5))
+    # unit i runs on worker i % 2, and this process is worker 0
+    assert [pid == os.getpid() for _, pid, _ in results] == [True, TWO == 1, True, TWO == 1, True]
+    assert len({pid for _, pid, _ in results}) == TWO
+    if TWO == 2:
+        assert all(len(cpus) == 1 for _, _, cpus in results)
+        assert len({frozenset(cpus) for _, _, cpus in results}) == 2
+    assert os.sched_getaffinity(0) == mask
+    assert_no_child_left()
+
+
+def test_fan_out_at_one_worker_runs_every_unit_here():
+    mask = os.sched_getaffinity(0)
+    assert fan_out(where, range(3), 1) == [(unit, os.getpid(), mask) for unit in range(3)]
+
+
+@pytest.mark.parametrize("failing", [{1}, {1, 2}, {0, 1}, {3, 4}], ids=str)
+def test_fan_out_raises_the_lowest_failing_unit(failing):
+    def run(unit):
+        if unit in failing:
+            raise KeyError(unit)
+        return unit
+
+    with pytest.raises(KeyError) as caught:
+        fan_out(run, range(5), 2)
+    assert caught.value.args == (min(failing),)
+    assert_no_child_left()
+
+
+def test_fan_out_reports_a_worker_that_sends_nothing():
+    parent = os.getpid()
+
+    def run(unit):
+        if os.getpid() != parent:
+            os._exit(3)
+        return unit
+
+    if TWO == 1:
+        assert fan_out(run, range(2), 2) == [0, 1]
+        return
+    with pytest.raises(RuntimeError, match="worker 1 sent no readable results"):
+        fan_out(run, range(2), 2)
+    assert_no_child_left()
+
+
+def test_fan_out_reports_a_result_that_does_not_pickle():
+    def run(unit):
+        return lambda: unit
+
+    if TWO == 1:
+        assert [f() for f in fan_out(run, range(2), 2)] == [0, 1]
+        return
+    with pytest.raises(RuntimeError, match="worker 1: .*lambda"):
+        fan_out(run, range(2), 2)
+    assert_no_child_left()
+
+
+def test_workers_give_the_same_reports():
+    spec = small_spec(timesteps=12, capacity_range_bytes=(300.0, 600.0))
+    serial = compare_algorithms(spec, ALGORITHMS, [0, 1, 2])
+    parallel = compare_algorithms(spec, ALGORITHMS, [0, 1, 2], workers=2)
+    assert parallel == serial
+    assert list(parallel.reports) == list(serial.reports)
+    assert_no_child_left()
 
 
 def count_derived_labels(monkeypatch) -> Counter:

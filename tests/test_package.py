@@ -1,8 +1,10 @@
 import ast
+import pickle
 import sys
 from pathlib import Path
 
 import replica_harmony
+from replica_harmony import errors
 from replica_harmony.harness import ALGORITHMS
 
 PACKAGE_DIR = Path(replica_harmony.__file__).parent
@@ -130,3 +132,17 @@ def test_allocation_rules_are_spelled_in_model_py():
         "out of range [0,": ["cost.total", "model.check_allocation"],
         "duplicate cloud ids": ["model.check_distinct"],
     }
+
+
+def test_every_error_survives_pickling():
+    # a fan-out worker sends its failing unit's exception to the parent by pickle
+    classes = [value for value in vars(errors).values()
+               if isinstance(value, type) and issubclass(value, errors.ReplicaHarmonyError)]
+    assert errors.CapacityExceeded in classes
+    samples = [errors.CapacityExceeded(3), errors.CapacityExceeded(4, "cloud 4 is full")]
+    samples += [cls("a message") for cls in classes if cls is not errors.CapacityExceeded]
+    for exc in samples:
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is type(exc)
+        assert repr(copy) == repr(exc) and str(copy) == str(exc)
+        assert vars(copy) == vars(exc)
