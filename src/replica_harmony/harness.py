@@ -25,7 +25,6 @@ import math
 import os
 import random
 import sys
-import threading
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial, reduce
 from operator import add, attrgetter, itemgetter
@@ -340,10 +339,9 @@ def run_grid(
     algorithms,
     seeds,
     options: TrialOptions = TrialOptions(),
-    workers: int = 1,
 ) -> dict[tuple[str, int], RunReport]:
     """Every (algorithm, seed) trial, keyed algorithm-major in argument order."""
-    return run_grids([(spec, seeds)], algorithms, options, workers)[0]
+    return run_grids([(spec, seeds)], algorithms, options)[0]
 
 
 def _run_seed(algorithms, options, unit) -> dict[tuple[str, int], RunReport]:
@@ -358,22 +356,33 @@ def fan_out(run, units, workers: int = 1) -> list:
     """[run(unit) for unit in units], spread over up to `workers` processes.
 
     The process count is min(workers, len(units), the CPUs this process
-    may run on). At 1, where os.fork or CPU pinning is missing, or while
-    other threads are alive, the units run here, in order. Otherwise the process forks one
-    child per extra worker, unit i goes to worker i % count, this process
-    being worker 0, and each worker pins itself to one CPU of the mask:
-    two unpinned CPU-bound processes can share one CPU for the whole job.
-    A worker stops at its first failing unit, and the exception of the
-    lowest failing unit index is raised once every child has been reaped,
-    the one a serial run would raise.
+    may run on). At 1, where os.fork is missing, or while other threads
+    are alive, the units run here, in order. Otherwise the process forks
+    one child per extra worker and unit i goes to worker i % count, this
+    process being worker 0. When the workers fill the affinity mask, each
+    pins itself to one CPU of it: two unpinned CPU-bound processes can
+    share one CPU for the whole job. With CPUs to spare the scheduler
+    places them, so concurrent jobs do not pile onto the same CPUs.
+
+    A worker stops at its first failing unit. Once every child has been
+    reaped, the exception of the lowest failing unit index is raised, the
+    one a serial run would raise; a worker that died without sending its
+    results fails the job only if no unit raised.
     """
     units = list(units)
-    forkable = hasattr(os, "fork") and hasattr(os, "sched_setaffinity") and threading.active_count() == 1
-    if workers > 1 and len(units) > 1 and forkable:
-        cpus = sorted(os.sched_getaffinity(0))[:workers]
-        if len(cpus) > 1:
-            return _forked(run, units, cpus)
+    count = min(workers, len(units), _cpu_count())
+    # a fork copies only the calling thread, so another thread's locks could stay held in the child
+    threading = sys.modules.get("threading")
+    alone = threading is None or threading.active_count() == 1
+    if count > 1 and hasattr(os, "fork") and alone:
+        return _forked(run, units, count)
     return [run(unit) for unit in units]
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_share(run, units, worker: int, count: int) -> tuple[dict, tuple[int, Exception] | None]:
@@ -387,58 +396,80 @@ def _run_share(run, units, worker: int, count: int) -> tuple[dict, tuple[int, Ex
     return done, None
 
 
-def _forked(run, units, cpus) -> list:
+def _forked(run, units, count: int) -> list:
     import pickle  # only a fan-out over processes needs it, so serial runs never import it
 
-    count = len(cpus)
-    mask = os.sched_getaffinity(0)
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    cpus = sorted(mask) if len(mask) == count else None
     children = []  # (worker, pid, read end of its pipe)
     done: dict = {}
     failures = []
+    dead = []
     try:
         for worker in range(1, count):
             read_fd, write_fd = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read_fd)
-                _child(run, units, worker, cpus, write_fd)
+                _child(run, units, worker, count, cpus, write_fd)
             os.close(write_fd)
             children.append((worker, pid, read_fd))
-        os.sched_setaffinity(0, {cpus[0]})
+        _pin(cpus, 0)
         share, failure = _run_share(run, units, 0, count)
         done.update(share)
         failures.append(failure)
     finally:
-        os.sched_setaffinity(0, mask)
+        if cpus:
+            os.sched_setaffinity(0, mask)
         for worker, pid, read_fd in children:
             with open(read_fd, "rb") as pipe:
                 payload = pipe.read()
             status = os.waitpid(pid, 0)[1]
             try:
-                share, failure = pickle.loads(payload)
-            except Exception as exc:  # the child died before it sent its results, or they do not unpickle
-                error = RuntimeError(f"worker {worker} sent no readable results (wait status {status}): {exc!r}")
-                share, failure = {}, (worker, error)
-            done.update(share)
+                sent, failure = pickle.loads(payload)
+                done.update((i, pickle.loads(result)) for i, result in sent.items())
+            except Exception as exc:  # the child died before it sent its results
+                error = f"worker {worker} sent no readable results (wait status {status}): {exc!r}"
+                dead.append(RuntimeError(error))
+                continue
             failures.append(failure)
     failures = [failure for failure in failures if failure is not None]
     if failures:
         raise min(failures, key=itemgetter(0))[1]
+    if dead:
+        raise dead[0]
     return [done[i] for i in range(len(units))]
 
 
-def _child(run, units, worker: int, cpus, write_fd: int) -> None:
-    """A forked worker's whole life: pin, run its share, pickle it into the pipe, os._exit."""
+def _pin(cpus, worker: int) -> None:
+    if cpus:
+        os.sched_setaffinity(0, {cpus[worker]})
+
+
+def _child(run, units, worker: int, count: int, cpus, write_fd: int) -> None:
+    """A forked worker's whole life: pin, run its share, pickle it into the pipe, os._exit.
+
+    Each result is pickled on its own, so one that does not pickle fails
+    the job at its own unit index.
+    """
     import pickle
 
     try:
-        os.sched_setaffinity(0, {cpus[worker]})
-        share, failure = _run_share(run, units, worker, len(cpus))
+        _pin(cpus, worker)
+        share, failure = _run_share(run, units, worker, count)
+        sent = {}
+        for i, result in share.items():
+            try:
+                sent[i] = pickle.dumps(result)
+            except Exception as exc:
+                failure = (i, RuntimeError(f"worker {worker} could not send unit {i}: {exc!r}"))
+                break
         try:
-            payload = pickle.dumps((share, failure))
-        except Exception as exc:  # a result or an exception that does not pickle
-            index = failure[0] if failure else worker
-            payload = pickle.dumps(({}, (index, RuntimeError(f"worker {worker}: {exc!r}"))))
+            payload = pickle.dumps((sent, failure))
+        except Exception as exc:  # the failing unit's exception does not pickle
+            index = failure[0]
+            error = RuntimeError(f"worker {worker} could not send unit {index}: {exc!r}")
+            payload = pickle.dumps((sent, (index, error)))
         with open(write_fd, "wb") as pipe:
             pipe.write(payload)
     finally:
@@ -490,11 +521,10 @@ def compare_algorithms(
     algorithms,
     seeds,
     options: TrialOptions = TrialOptions(),
-    workers: int = 1,
 ) -> ComparisonTable:
     algorithms = list(algorithms)
     seeds = list(seeds)
-    return comparison_table(spec, algorithms, seeds, run_grid(spec, algorithms, seeds, options, workers))
+    return comparison_table(spec, algorithms, seeds, run_grid(spec, algorithms, seeds, options))
 
 
 def comparison_table(spec: ScenarioSpec, algorithms, seeds, reports) -> ComparisonTable:

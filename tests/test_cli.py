@@ -986,10 +986,11 @@ def test_help_exits_zero():
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Runs in a fresh interpreter: imports the package from src/, counts the
-# children os.fork makes, runs each argv and prints the exit codes, which of
-# the watched modules got loaded, the fork count, and the collector's freeze
-# count at the start and after each call.
+# Runs in a fresh interpreter without site, whose .pth files may import a
+# watched module (threading, say) before the package does: imports the
+# package from src/, counts the children os.fork makes, runs each argv and
+# prints the exit codes, which of the watched modules got loaded, the fork
+# count, and the collector's freeze count at the start and after each call.
 PROBE = """
 import gc, json, os, sys
 sys.path.insert(0, sys.argv[1])
@@ -1005,14 +1006,15 @@ codes, frozen = [], [gc.get_freeze_count()]
 for argv in sys.argv[2:]:
     codes.append(cli.main(json.loads(argv)))
     frozen.append(gc.get_freeze_count())
-print(json.dumps({"codes": codes, "loaded": [m for m in ("_hashlib", "ssl", "pickle") if m in sys.modules],
+watched = ("_hashlib", "ssl", "pickle", "threading")
+print(json.dumps({"codes": codes, "loaded": [m for m in watched if m in sys.modules],
                   "forks": len(forks), "frozen": frozen}))
 """
 
 
 def run_probe(tmp_path, argvs) -> dict:
     probe = subprocess.run(
-        [sys.executable, "-I", "-c", PROBE, str(ROOT / "src"), *map(json.dumps, argvs)],
+        [sys.executable, "-I", "-S", "-c", PROBE, str(ROOT / "src"), *map(json.dumps, argvs)],
         capture_output=True, text=True, check=True, cwd=tmp_path, timeout=120,
     )
     return json.loads(probe.stdout.splitlines()[-1])
@@ -1048,7 +1050,7 @@ def test_run_and_compare_never_load_openssl(tmp_path, monkeypatch):
 
 def test_serial_run_and_compare_never_fork_or_import_pickle(tmp_path, monkeypatch):
     # at --threads 1 the units run in the job's own process, so a one-worker
-    # job pays for neither a child nor the pickle import
+    # job pays for neither a child nor the pickle or threading import
     monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
     result = run_probe(tmp_path, probe_argvs(tmp_path, "--threads", "1"))
     assert (result["codes"], result["loaded"], result["forks"]) == ([0, 0], [], 0)

@@ -20,6 +20,7 @@ from replica_harmony.harness import (
     build_experiment,
     check_summary,
     compare_algorithms,
+    comparison_table,
     fan_out,
     recompute_totals,
     report_from_csv,
@@ -223,17 +224,36 @@ def where(unit):
     return unit, os.getpid(), os.sched_getaffinity(0)
 
 
-def test_fan_out_stripes_units_over_pinned_workers():
+def test_fan_out_stripes_units_over_workers():
     mask = os.sched_getaffinity(0)
     results = fan_out(where, range(5), 2)
     assert [unit for unit, _, _ in results] == list(range(5))
     # unit i runs on worker i % 2, and this process is worker 0
     assert [pid == os.getpid() for _, pid, _ in results] == [True, TWO == 1, True, TWO == 1, True]
     assert len({pid for _, pid, _ in results}) == TWO
-    if TWO == 2:
-        assert all(len(cpus) == 1 for _, _, cpus in results)
-        assert len({frozenset(cpus) for _, _, cpus in results}) == 2
+    if TWO == CPUS == 2:
+        # two workers fill a 2-CPU mask, so each runs on a CPU of its own
+        assert sorted(cpus for _, _, cpus in results[:2]) == [{cpu} for cpu in sorted(mask)]
     assert os.sched_getaffinity(0) == mask
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("mask_size", [2, 4])
+def test_fan_out_pins_workers_only_when_they_fill_the_mask(monkeypatch, mask_size):
+    # pinned where the workers take every CPU of the mask; with CPUs to
+    # spare, concurrent jobs pinned to the same ones would share them
+    pins = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(mask_size)))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append(set(cpus)))
+    results = fan_out(lambda unit: list(pins), range(3), TWO)
+    if TWO == 1:
+        assert results == [[]] * 3 and pins == []
+    elif mask_size == 2:
+        # each worker's pin, then this process restores its mask
+        assert results == [[{0}], [{1}], [{0}]]
+        assert pins == [{0}, {0, 1}]
+    else:
+        assert results == [[]] * 3 and pins == []
     assert_no_child_left()
 
 
@@ -255,40 +275,72 @@ def test_fan_out_raises_the_lowest_failing_unit(failing):
     assert_no_child_left()
 
 
+PARENT = os.getpid()
+
+
+def dies_in_a_child(unit):
+    """Units 0-2 as the serial run gives them; unit 3 kills the forked worker running it."""
+    if unit == 3 and os.getpid() != PARENT:
+        os._exit(3)
+    return unit
+
+
 def test_fan_out_reports_a_worker_that_sends_nothing():
-    parent = os.getpid()
-
-    def run(unit):
-        if os.getpid() != parent:
-            os._exit(3)
-        return unit
-
     if TWO == 1:
-        assert fan_out(run, range(2), 2) == [0, 1]
+        assert fan_out(dies_in_a_child, range(4), 2) == [0, 1, 2, 3]
         return
     with pytest.raises(RuntimeError, match="worker 1 sent no readable results"):
-        fan_out(run, range(2), 2)
+        fan_out(dies_in_a_child, range(4), 2)
     assert_no_child_left()
 
 
-def test_fan_out_reports_a_result_that_does_not_pickle():
+def test_a_unit_that_raises_wins_over_a_worker_that_died():
+    # this process fails at unit 2; worker 1 has run unit 1 and dies at unit 3
     def run(unit):
-        return lambda: unit
+        if unit == 2:
+            raise KeyError(unit)
+        return dies_in_a_child(unit)
+
+    with pytest.raises(KeyError) as caught:
+        fan_out(run, range(4), 2)
+    assert caught.value.args == (2,)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("raising", [None, 2, 4], ids=["alone", "earlier-unit-raises", "later-unit-raises"])
+def test_fan_out_reports_a_result_that_does_not_pickle_at_its_unit(raising):
+    # unit 3's result does not pickle; in a child that fails the job at unit 3
+    def run(unit):
+        if unit == raising:
+            raise KeyError(unit)
+        return (lambda: unit) if unit == 3 else unit
 
     if TWO == 1:
-        assert [f() for f in fan_out(run, range(2), 2)] == [0, 1]
-        return
-    with pytest.raises(RuntimeError, match="worker 1: .*lambda"):
-        fan_out(run, range(2), 2)
+        if raising is None:
+            assert fan_out(run, range(5), 2)[:3] == [0, 1, 2]
+            return
+        expected = pytest.raises(KeyError)
+    elif raising == 2:
+        expected = pytest.raises(KeyError)
+    else:
+        expected = pytest.raises(RuntimeError, match="worker 1 could not send unit 3: .*lambda")
+    with expected as caught:
+        fan_out(run, range(5), 2)
+    if caught.type is KeyError:
+        assert caught.value.args == (raising,)
     assert_no_child_left()
 
 
 def test_workers_give_the_same_reports():
     spec = small_spec(timesteps=12, capacity_range_bytes=(300.0, 600.0))
-    serial = compare_algorithms(spec, ALGORITHMS, [0, 1, 2])
-    parallel = compare_algorithms(spec, ALGORITHMS, [0, 1, 2], workers=2)
+    other = small_spec(timesteps=8, capacity_range_bytes=(300.0, 600.0))
+    grids = [(spec, [0, 1, 2]), (other, [4])]
+    serial = harness.run_grids(grids, ALGORITHMS)
+    parallel = harness.run_grids(grids, ALGORITHMS, workers=2)
     assert parallel == serial
-    assert list(parallel.reports) == list(serial.reports)
+    assert [list(reports) for reports in parallel] == [list(reports) for reports in serial]
+    table = comparison_table(spec, ALGORITHMS, [0, 1, 2], parallel[0])
+    assert table == compare_algorithms(spec, ALGORITHMS, [0, 1, 2])
     assert_no_child_left()
 
 
