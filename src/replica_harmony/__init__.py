@@ -40,10 +40,7 @@ from .model import (
     validate_topology,
 )
 from .optimize import (
-    FOAParams,
-    GAParams,
     Harmony,
-    OptParams,
     OptResult,
     PlacementProblem,
     exhaustive_best,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
 import os
 import sys
 from dataclasses import fields
@@ -47,7 +46,7 @@ from .harness import (
 )
 # perfbench/tracing.py looks up cli._run_many by name
 from .harness import run_grids as _run_many
-from .model import dataclass_from_json, json_doc, json_text, topology_to_json
+from .model import dataclass_from_json_text, json_doc, json_text, topology_to_json
 from .scenario import ScenarioSpec, builtin_scenario
 
 EXIT_OK = 0
@@ -77,10 +76,9 @@ def resolve_scenario(source: str) -> ScenarioSpec:
 
 def _read_json(path: str, cls):
     """The dataclass cls that a JSON input file holds; a ConfigError names the file."""
-    # ValueError covers ConfigError, UnicodeDecodeError, JSONDecodeError and an int over 4,300 digits
     try:
-        return dataclass_from_json(cls, json.loads(Path(path).read_text()))
-    except (ValueError, RecursionError) as exc:
+        return dataclass_from_json_text(cls, Path(path).read_bytes())
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 

@@ -34,9 +34,7 @@ from .cost import CostModel, EnergyParams, placement_energy
 from .errors import ConfigError, Infeasible, MalformedInput
 from .model import AllocationVector, DataItem, Topology, commit_placement, json_doc, json_text
 from .optimize import (
-    FOAParams,
-    GAParams,
-    OptParams,
+    HMS,
     OptResult,
     PlacementProblem,
     foa_optimize,
@@ -112,7 +110,7 @@ def recompute_totals(series) -> RunTotals:
 
 @dataclass(frozen=True)
 class TrialOptions:
-    memory_size_hms: int = OptParams.memory_size_hms
+    memory_size_hms: int = HMS
     exercises: int | None = None  # fixed count; None draws per datum from the spec range
     energy: EnergyParams = field(default_factory=EnergyParams)
 
@@ -187,18 +185,17 @@ def _run_optimizer(
         model = experiment.model
         best, cost = model.best_allocation(problem.datum, problem.feasible_clouds, problem.replica_count)
         return OptResult(best, cost, (cost,), 0)
-    seed = derive_seed(experiment.root_seed, experiment.spec.name, "opt", algorithm, problem.datum.id)
+    rng = random.Random(derive_seed(experiment.root_seed, experiment.spec.name, "opt", algorithm, problem.datum.id))
     hms = options.memory_size_hms
-    exercises = experiment.exercises[index] if options.exercises is None else options.exercises
+    budget = hms + (experiment.exercises[index] if options.exercises is None else options.exercises)
     if algorithm == "hs":
-        return hs_optimize(problem, OptParams(exercises, hms, seed))
-    budget = hms + exercises
+        return hs_optimize(problem, budget, rng, hms)
     if algorithm == "random":
-        return random_search(problem, budget, random.Random(seed))
+        return random_search(problem, budget, rng)
     if algorithm == "ga":
-        return ga_optimize(problem, GAParams(budget, seed))
+        return ga_optimize(problem, budget, rng)
     # foa: run_trial_detailed admits no other name
-    return foa_optimize(problem, FOAParams(budget, seed))
+    return foa_optimize(problem, budget, rng)
 
 
 def run_trial_detailed(
@@ -408,7 +405,12 @@ def _forked(run, units, count: int) -> list:
     try:
         for worker in range(1, count):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # no child to hand the pipe to; the finally reaps the ones forked
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 os.close(read_fd)
                 _child(run, units, worker, count, cpus, write_fd)

@@ -8,7 +8,8 @@ bit-lossless; the cost module converts to seconds where it evaluates delays.
 Waiting times are plain seconds, capacities bytes, transfer rates bytes/s.
 
 Every JSON file the package reads or writes goes through one codec:
-``dataclass_from_json`` reads a dataclass, checked key by key, and
+``dataclass_from_json`` reads a dataclass, checked key by key (every
+reader of JSON text goes through ``dataclass_from_json_text``), and
 ``json_doc`` plus ``json_text`` write one. A field's JSON key is its name
 unless its metadata declares another under "json": the keys of fields
 whose names lack their unit, such as the per-byte delays.
@@ -322,6 +323,16 @@ def _field_value(hint, value, key: str):
     raise ConfigError(f"{key} must be {_EXPECTED[hint]}, got {value!r:.60}")
 
 
+def dataclass_from_json_text(cls, text: str | bytes):
+    """dataclass_from_json of a JSON text (bytes in any UTF encoding); text
+    that is not JSON is a ConfigError too."""
+    # ValueError covers ConfigError, UnicodeDecodeError, JSONDecodeError and an int over 4,300 digits
+    try:
+        return dataclass_from_json(cls, json.loads(text))
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def json_doc(value):
     """The JSON form of value: a dataclass as an object under its fields'
     JSON keys, a tuple or list as a list, anything else as it is."""
@@ -343,7 +354,7 @@ def topology_to_json(t: Topology) -> str:
 
 def topology_from_json(text: str) -> Topology:
     """The topology a JSON text describes; a ConfigError names a bad key or lists the violations."""
-    topology = dataclass_from_json(Topology, json.loads(text))
+    topology = dataclass_from_json_text(Topology, text)
     problems = validate_topology(topology)
     if problems:
         raise ConfigError("invalid topology: " + "; ".join(problems))

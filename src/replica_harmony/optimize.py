@@ -2,8 +2,10 @@
 
 All optimizers minimize the same objective (replication cost of one datum)
 over duplicate-free cloud-id vectors of fixed length r, drawn from the
-clouds with enough free capacity. Each run owns a single random stream, so
-results are reproducible bit-for-bit from the seed.
+clouds with enough free capacity. Every heuristic is called as
+search(problem, budget, rng), makes exactly budget objective calls, and
+draws only from the rng it is passed, so a run is reproducible bit-for-bit
+from that stream's seed.
 
 The harmony search follows the concrete procedure: fill a cost-sorted
 memory with random vectors, then per exercise pick two harmonies by
@@ -65,19 +67,8 @@ class Harmony(NamedTuple):
 _by_cost = attrgetter("cost")
 
 
-@dataclass(frozen=True)
-class OptParams:
-    """Harmony-search knobs; a run spends memory_size_hms + exercises evaluations."""
-
-    exercises: int
-    memory_size_hms: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.memory_size_hms < 2:
-            raise ValueError("memory size must be >= 2")
-        if self.exercises < 1:
-            raise ValueError("exercises must be >= 1")
+# the harmony memory size a run uses unless it names another
+HMS = 10
 
 
 @dataclass(frozen=True)
@@ -202,19 +193,31 @@ def _mutate_one_position(
     return tuple(out)
 
 
-def hs_optimize(problem: PlacementProblem, params: OptParams) -> OptResult:
-    rng = random.Random(params.seed)
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+
+
+def hs_optimize(
+    problem: PlacementProblem, budget: int, rng: random.Random, memory_size_hms: int = HMS
+) -> OptResult:
+    """Fill the memory with memory_size_hms random vectors, then spend the
+    rest of the budget on exercises, one evaluation each."""
+    if memory_size_hms < 2:
+        raise ValueError("memory size must be >= 2")
+    if budget <= memory_size_hms:
+        raise ValueError("budget must exceed the memory size")
     objective = problem.objective
     feasible = problem.feasible_clouds
     # the harmony memory: a list kept sorted ascending by cost
     memory = sorted(
         [Harmony(v := random_allocation(problem, rng), objective(v))
-         for _ in range(params.memory_size_hms)],
+         for _ in range(memory_size_hms)],
         key=_by_cost,
     )
 
     trace = []
-    for _ in range(params.exercises):
+    for _ in range(budget - memory_size_hms):
         i, j = roulette_select_pair(memory, rng)
         child = combine_harmonies(memory[i], memory[j], feasible, rng)
         # A child already present in the memory explores nothing, and once the
@@ -232,14 +235,12 @@ def hs_optimize(problem: PlacementProblem, params: OptParams) -> OptResult:
         trace.append(memory[0].cost)
 
     best = memory[0]
-    evaluations = params.memory_size_hms + params.exercises
-    return OptResult(best.vector, best.cost, tuple(trace), evaluations)
+    return OptResult(best.vector, best.cost, tuple(trace), budget)
 
 
 def random_search(problem: PlacementProblem, budget: int, rng: random.Random) -> OptResult:
     """Uniform independent samples; returns the running minimum."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_budget(budget)
     objective = problem.objective
     best = best_cost = None
     trace = []
@@ -262,25 +263,15 @@ FOA_LOCAL_SEEDING = 2
 FOA_GLOBAL_FRACTION = 0.1
 
 
-@dataclass(frozen=True)
-class GAParams:
-    budget: int  # evaluation cap; the harness matches it to HS
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-
-
-def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
-    rng = random.Random(params.seed)
+def ga_optimize(problem: PlacementProblem, budget: int, rng: random.Random) -> OptResult:
+    _check_budget(budget)
     objective = problem.objective
     r = problem.replica_count
     feasible = problem.feasible_clouds
 
     # a budget of 1 buys one random vector and no generation; the last
     # generation is cut short where the budget runs out
-    pop_size = min(GA_POPULATION, params.budget)
+    pop_size = min(GA_POPULATION, budget)
 
     population = sorted(
         [Harmony(v := random_allocation(problem, rng), objective(v)) for _ in range(pop_size)],
@@ -290,9 +281,9 @@ def ga_optimize(problem: PlacementProblem, params: GAParams) -> OptResult:
     best = population[0]
     trace = [best.cost]
 
-    while evaluations < params.budget:
+    while evaluations < budget:
         next_gen = [best]  # elite carried over, not re-evaluated
-        while len(next_gen) < pop_size and evaluations < params.budget:
+        while len(next_gen) < pop_size and evaluations < budget:
             p1 = _tournament(population, rng)
             p2 = _tournament(population, rng)
             if r >= 2 and rng.random() < GA_CROSSOVER_RATE:
@@ -319,16 +310,6 @@ def _tournament(population: Sequence[Harmony], rng: random.Random) -> Harmony:
     return population[i] if population[i].cost <= population[j].cost else population[j]
 
 
-@dataclass(frozen=True)
-class FOAParams:
-    budget: int  # evaluation cap; the harness matches it to HS
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-
-
 @dataclass
 class _Tree:
     vector: AllocationVector
@@ -336,7 +317,7 @@ class _Tree:
     age: int = 0
 
 
-def foa_optimize(problem: PlacementProblem, params: FOAParams) -> OptResult:
+def foa_optimize(problem: PlacementProblem, budget: int, rng: random.Random) -> OptResult:
     """Simplified forest optimization on allocation vectors.
 
     New trees (age 0) spawn FOA_LOCAL_SEEDING one-position neighbors per
@@ -345,10 +326,9 @@ def foa_optimize(problem: PlacementProblem, params: FOAParams) -> OptResult:
     re-enters as fresh random trees. The best tree's age is pinned to 0 so
     the forest always keeps one seeding tree.
     """
-    rng = random.Random(params.seed)
+    _check_budget(budget)
     objective = problem.objective
     feasible = problem.feasible_clouds
-    budget = params.budget
 
     init_size = min(FOA_AREA_LIMIT, budget)
     forest = [_Tree(v := random_allocation(problem, rng), objective(v)) for _ in range(init_size)]

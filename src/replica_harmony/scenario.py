@@ -18,14 +18,13 @@ without the float() copy a LinkMatrix built from caller rows makes.
 
 # No `from __future__ import annotations` here: ScenarioSpec's field types
 # stay objects, so the JSON reader resolves them without compiling strings.
-import json
 import math
 import random
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, Infeasible
 from .model import DataItem, Gateway, LinkMatrix, MiniCloud, Policy, Topology
-from .model import dataclass_from_json, json_doc, json_text
+from .model import dataclass_from_json_text, json_doc, json_text
 
 BUILTIN_SIZES = {1: (22, 8), 2: (25, 10), 3: (32, 15), 4: (40, 25)}
 
@@ -158,4 +157,4 @@ def scenario_to_json(spec: ScenarioSpec) -> str:
 
 
 def scenario_from_json(text: str) -> ScenarioSpec:
-    return dataclass_from_json(ScenarioSpec, json.loads(text))
+    return dataclass_from_json_text(ScenarioSpec, text)

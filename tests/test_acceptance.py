@@ -16,9 +16,6 @@ from replica_harmony.cost import CostModel, placement_energy
 from replica_harmony.harness import compare_algorithms, run_trial_detailed
 from replica_harmony.model import AllocationVector, DataItem, validate_topology
 from replica_harmony.optimize import (
-    FOAParams,
-    GAParams,
-    OptParams,
     PlacementProblem,
     exhaustive_best,
     foa_optimize,
@@ -71,11 +68,11 @@ def test_c3_hs_reaches_exhaustive_optimum_at_desk_scale():
         problem = PlacementProblem(t, d, CostModel(t).objective(d))
         floor = exhaustive_best(problem).best_cost
 
-        hs = hs_optimize(problem, OptParams(memory_size_hms=10, exercises=200, seed=trial))
+        hs = hs_optimize(problem, 210, random.Random(trial))
         others = (
             random_search(problem, 210, random.Random(trial)),
-            ga_optimize(problem, GAParams(seed=trial, budget=210)),
-            foa_optimize(problem, FOAParams(seed=trial, budget=210)),
+            ga_optimize(problem, 210, random.Random(trial)),
+            foa_optimize(problem, 210, random.Random(trial)),
         )
         for result in (hs,) + others:
             if result.best_cost < floor:
@@ -122,7 +119,7 @@ def test_c5_hs_trace_is_monotone_for_1000_runs():
         t = make_topology(rng, 3, 8)
         d = DataItem(0, float(rng.randint(20, 100)), rng.randrange(3), 3)
         problem = PlacementProblem(t, d, CostModel(t).objective(d))
-        result = hs_optimize(problem, OptParams(exercises=30, seed=seed))
+        result = hs_optimize(problem, 40, random.Random(seed))
         if any(later > earlier for earlier, later in zip(result.trace, result.trace[1:])):
             violations += 1
     assert violations == 0

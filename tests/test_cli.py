@@ -398,7 +398,7 @@ def test_each_exit_code_has_one_error_class(tmp_path, capsys, monkeypatch, error
 def test_capacity_failure_at_the_commit_is_an_internal_error(tmp_path, capsys, monkeypatch):
     # PlacementProblem offers only clouds with room for the datum, so an
     # optimizer answer naming a full cloud is a bug, never a counted failure
-    def first_clouds(problem, params):
+    def first_clouds(problem, *_):
         best = AllocationVector(tuple(range(problem.replica_count)))
         return OptResult(best, problem.objective(best), (), 1)
 
@@ -415,7 +415,7 @@ def test_capacity_failure_at_the_commit_is_an_internal_error(tmp_path, capsys, m
 
 
 def test_internal_value_error_exits_5(tmp_path, capsys, monkeypatch):
-    def broken(problem, params):
+    def broken(problem, *_):
         raise ValueError("not the user's fault")
 
     monkeypatch.setattr(replica_harmony.harness, "hs_optimize", broken)

@@ -257,6 +257,28 @@ def test_fan_out_pins_workers_only_when_they_fill_the_mask(monkeypatch, mask_siz
     assert_no_child_left()
 
 
+def test_a_failed_fork_closes_its_pipe_and_reaps_the_forked_workers(monkeypatch):
+    # worker 1 forks; worker 2's fork fails as it does when the process limit is reached
+    real_fork = os.fork
+    forks = []
+
+    def fork():
+        forks.append(len(forks))
+        if len(forks) > 1:
+            raise BlockingIOError("fork refused")
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    monkeypatch.setattr(os, "fork", fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        fan_out(abs, [-1, -2, -3, -4], 3)
+    assert forks == [0, 1]
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert_no_child_left()
+
+
 def test_fan_out_at_one_worker_runs_every_unit_here():
     mask = os.sched_getaffinity(0)
     assert fan_out(where, range(3), 1) == [(unit, os.getpid(), mask) for unit in range(3)]

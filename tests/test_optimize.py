@@ -20,10 +20,7 @@ from replica_harmony.model import (
     commit_placement,
 )
 from replica_harmony.optimize import (
-    FOAParams,
-    GAParams,
     Harmony,
-    OptParams,
     PlacementProblem,
     combine_harmonies,
     exhaustive_best,
@@ -222,13 +219,13 @@ def test_every_evaluated_vector_is_distinct_and_feasible(num_clouds, full, repli
     problem.objective = recording
     for seed in range(3):
         if algorithm == "hs":
-            result = hs_optimize(problem, OptParams(exercises=50, seed=seed))
+            result = hs_optimize(problem, 60, random.Random(seed))
         elif algorithm == "random":
             result = random_search(problem, 60, random.Random(seed))
         elif algorithm == "ga":
-            result = ga_optimize(problem, GAParams(budget=60, seed=seed))
+            result = ga_optimize(problem, 60, random.Random(seed))
         else:
-            result = foa_optimize(problem, FOAParams(budget=60, seed=seed))
+            result = foa_optimize(problem, 60, random.Random(seed))
         assert result.best.clouds in evaluated
     assert len(evaluated) == 180
     for clouds in evaluated:
@@ -398,30 +395,33 @@ def test_combine_always_duplicate_free():
         assert len(set(child.clouds)) == len(child.clouds) == 3
 
 
-def test_opt_params_validation():
-    with pytest.raises(ValueError):
-        OptParams(exercises=5, memory_size_hms=1)
-    with pytest.raises(ValueError):
-        OptParams(exercises=0)
+def test_each_heuristic_checks_its_budget():
+    problem = make_problem(10)
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="memory size must be >= 2"):
+        hs_optimize(problem, 15, rng, memory_size_hms=1)
+    # the memory alone spends memory_size_hms evaluations, so at least one exercise must remain
+    for budget in (optimize.HMS, 5, 0):
+        with pytest.raises(ValueError, match="budget must exceed the memory size"):
+            hs_optimize(problem, budget, rng)
     # a budget below 1 would still buy one evaluation, more than it allows
-    for params in (GAParams, FOAParams):
+    for search in (random_search, ga_optimize, foa_optimize):
         for budget in (0, -5):
             with pytest.raises(ValueError, match="budget must be >= 1"):
-                params(budget)
+                search(problem, budget, rng)
 
 
 def test_hs_single_point_space():
     problem = tiny_problem()
-    result = hs_optimize(problem, OptParams(exercises=50, seed=3))
+    result = hs_optimize(problem, 60, random.Random(3))
     assert sorted(result.best.clouds) == [0, 1]
     assert result.best_cost == 1.05
 
 
 def test_hs_trace_and_determinism():
     problem = make_problem(9)
-    params = OptParams(exercises=40, seed=17)
-    first = hs_optimize(problem, params)
-    second = hs_optimize(problem, params)
+    first = hs_optimize(problem, 50, random.Random(17))
+    second = hs_optimize(problem, 50, random.Random(17))
     assert first == second
     assert len(first.trace) == 40
     assert first.evaluations == 10 + 40
@@ -472,37 +472,46 @@ def test_random_search_mean_best_is_the_exact_expectation(problem_seed, num_clou
 
 
 def test_ga_single_point_space():
-    result = ga_optimize(tiny_problem(), GAParams(seed=1, budget=40))
+    result = ga_optimize(tiny_problem(), 40, random.Random(1))
     assert sorted(result.best.clouds) == [0, 1]
 
 
 def test_ga_budget_and_trace():
     problem = make_problem(13)
-    result = ga_optimize(problem, GAParams(seed=2, budget=560))
+    result = ga_optimize(problem, 560, random.Random(2))
     assert result.evaluations <= 560
     assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
     assert result.best_cost == problem.objective(result.best)
-    assert ga_optimize(problem, GAParams(seed=2, budget=560)) == result
+    assert ga_optimize(problem, 560, random.Random(2)) == result
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 4, 5, 21, 30, 60, 240])
-def test_ga_and_foa_keep_small_budgets(budget):
+@pytest.mark.parametrize("algorithm", ["hs", "random", "ga", "foa"])
+def test_every_heuristic_spends_exactly_its_budget(algorithm, budget):
+    # hs needs one exercise beyond its memory, so its budgets start at HMS + 1
+    if algorithm == "hs":
+        budget += optimize.HMS
+    search = {"hs": hs_optimize, "random": random_search, "ga": ga_optimize, "foa": foa_optimize}[algorithm]
     problem = make_problem(15)
-    ga = ga_optimize(problem, GAParams(seed=4, budget=budget))
-    foa = foa_optimize(problem, FOAParams(seed=4, budget=budget))
-    assert 1 <= ga.evaluations <= budget
-    assert 1 <= foa.evaluations <= budget
-    if budget > optimize.GA_POPULATION:
-        # the last generation is cut short, so GA spends its whole budget
-        assert ga.evaluations == budget
-    assert ga.best_cost == problem.objective(ga.best)
+    objective = problem.objective
+    calls = 0
+
+    def counting(vector):
+        nonlocal calls
+        calls += 1
+        return objective(vector)
+
+    problem.objective = counting
+    result = search(problem, budget, random.Random(4))
+    assert calls == result.evaluations == budget
+    assert result.best_cost == objective(result.best)
 
 
 def test_ga_without_variation_keeps_best_constant(monkeypatch):
     monkeypatch.setattr(optimize, "GA_CROSSOVER_RATE", 0.0)
     monkeypatch.setattr(optimize, "GA_MUTATION_RATE", 0.0)
     problem = make_problem(14)
-    result = ga_optimize(problem, GAParams(seed=3, budget=200))
+    result = ga_optimize(problem, 200, random.Random(3))
     assert all(value == result.trace[0] for value in result.trace)
 
 
@@ -511,24 +520,23 @@ def test_ga_majority_optimal_at_matched_budget():
     for seed in range(100):
         problem = make_problem(20_000 + seed)
         best = exhaustive_best(problem)
-        got = ga_optimize(problem, GAParams(seed=seed, budget=560))
+        got = ga_optimize(problem, 560, random.Random(seed))
         assert got.best_cost >= best.best_cost
         hits += got.best_cost == best.best_cost
     assert hits > 50
 
 
 def test_foa_single_point_space():
-    result = foa_optimize(tiny_problem(), FOAParams(seed=1, budget=40))
+    result = foa_optimize(tiny_problem(), 40, random.Random(1))
     assert sorted(result.best.clouds) == [0, 1]
 
 
 def test_foa_budget_trace_determinism():
     problem = make_problem(15)
-    params = FOAParams(seed=4, budget=560)
-    result = foa_optimize(problem, params)
+    result = foa_optimize(problem, 560, random.Random(4))
     assert result.evaluations <= 560
     assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
-    assert foa_optimize(problem, params) == result
+    assert foa_optimize(problem, 560, random.Random(4)) == result
     assert result.best_cost == problem.objective(result.best)
 
 
@@ -537,7 +545,7 @@ def test_foa_majority_optimal_at_matched_budget():
     for seed in range(100):
         problem = make_problem(30_000 + seed)
         best = exhaustive_best(problem)
-        got = foa_optimize(problem, FOAParams(seed=seed, budget=560))
+        got = foa_optimize(problem, 560, random.Random(seed))
         assert got.best_cost >= best.best_cost
         hits += got.best_cost == best.best_cost
     assert hits > 50
@@ -644,7 +652,7 @@ def test_exhaustive_dominates_every_optimizer():
     for seed in range(20):
         problem = make_problem(40_000 + seed)
         floor = exhaustive_best(problem).best_cost
-        assert hs_optimize(problem, OptParams(exercises=20, seed=seed)).best_cost >= floor
+        assert hs_optimize(problem, 30, random.Random(seed)).best_cost >= floor
         assert random_search(problem, 30, random.Random(seed)).best_cost >= floor
-        assert ga_optimize(problem, GAParams(seed=seed, budget=30)).best_cost >= floor
-        assert foa_optimize(problem, FOAParams(seed=seed, budget=30)).best_cost >= floor
+        assert ga_optimize(problem, 30, random.Random(seed)).best_cost >= floor
+        assert foa_optimize(problem, 30, random.Random(seed)).best_cost >= floor

@@ -105,6 +105,15 @@ def test_only_the_optimizer_dispatch_names_an_algorithm():
     assert sites == {"ALGORITHMS", "_run_optimizer"}
 
 
+def test_heuristics_draw_only_from_the_stream_they_are_passed():
+    # every search is (problem, budget, rng): the caller seeds the one stream
+    # a run draws from, so optimize.py never builds a generator of its own
+    tree = ast.parse((PACKAGE_DIR / "optimize.py").read_text())
+    built = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("random.Random", "Random")]
+    assert built == []
+
+
 def test_unit_bearing_json_keys_are_declared_once():
     # a field whose name lacks its unit declares its JSON key in its metadata,
     # and the codec in model.py reads and writes every file by that one spelling

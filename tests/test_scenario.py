@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,8 @@ from replica_harmony.model import (
     MiniCloud,
     Policy,
     Topology,
+    dataclass_from_json,
+    topology_from_json,
     topology_to_json,
     validate_topology,
 )
@@ -20,7 +23,6 @@ from replica_harmony.scenario import (
     BUILTIN_SIZES,
     ScenarioSpec,
     builtin_scenario,
-    dataclass_from_json,
     generate_topology,
     generate_workload,
     scenario_from_json,
@@ -294,3 +296,18 @@ def test_config_error_is_a_value_error():
     # library callers that catch ValueError keep working
     with pytest.raises(ValueError):
         scenario_from_json("[]")
+
+
+@pytest.mark.parametrize("reader", [scenario_from_json, topology_from_json])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("not json", "Expecting value"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+        ('{"seed": ' + "1" * 5000 + "}", "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["not-json", "deep", "long-int"],
+)
+def test_json_text_that_does_not_parse_is_a_config_error(reader, text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        reader(text)
