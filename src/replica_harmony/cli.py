@@ -203,7 +203,7 @@ def cmd_compare(args) -> int:
     win_rows = []
     plots = {}
     for (spec, seeds), slug, reports in zip(grids, slugs, _run_many(grids, args.algo, options, args.threads)):
-        table = comparison_table(spec, args.algo, seeds, reports)
+        table = comparison_table(args.algo, seeds, reports)
         comparison_rows += [(spec.name, *_row_values(row)) for row in table.rows]
         win_rows += [(spec.name, a, b, rate) for (a, b), rate in sorted(table.win_rates.items())]
         for metric in PLOT_FIELDS:

@@ -64,9 +64,9 @@ class CostModel:
     Per-byte delay tables make per-call work a few multiply-adds. Each cell
     adds the R/1000 and W/1000 terms, computed once, left to right as the
     formula above does, so results are bit-identical to a naive evaluation.
-    The cloud-to-cloud table is built up front; a gateway's entry and read
-    rows, and a cloud's propagation order for best_allocation, are built on
-    first use. Ids are range-checked before any row is built.
+    The cloud-to-cloud table is built up front; a gateway's entry row, and
+    a cloud's propagation order for best_allocation, are built on first
+    use. Ids are range-checked before any row is built.
     """
 
     def __init__(self, t: Topology):
@@ -86,9 +86,8 @@ class CostModel:
                    for c2, (b, w) in enumerate(zip(cc[c], self._cloud_write))])
             for c, r in enumerate(self._cloud_read)
         ])
-        # one slot per gateway, filled by _entry_row and _read_row
+        # one slot per gateway, filled by _entry_row
         self._entry_rows: list[tuple[float, ...] | None] = [None] * t.num_gateways
-        self._read_rows: list[tuple[float, ...] | None] = [None] * t.num_gateways
         # one slot per cloud, filled by best_allocation: the other cloud ids
         # by prop_base[c], cheapest first
         self._orders: list[tuple[int, ...] | None] = [None] * t.num_clouds
@@ -100,14 +99,6 @@ class CostModel:
             rg = self._gw_read[g]
             row = tuple([1.0 / b + rg + w for b, w in zip(self._uplink[g], self._cloud_write)])
             self._entry_rows[g] = row
-        return row
-
-    def _read_row(self, g: int) -> tuple[float, ...]:
-        """Read row of gateway g: 1/B_gc + R_c per cloud c, seconds per byte; g in range."""
-        row = self._read_rows[g]
-        if row is None:
-            row = tuple([1.0 / b + r for b, r in zip(self._uplink[g], self._cloud_read)])
-            self._read_rows[g] = row
         return row
 
     def _check_gateway(self, g: int, role: str) -> None:
@@ -258,8 +249,8 @@ class CostModel:
         check_allocation(self.topology, a.clouds)
         self._check_gateway(requester, "requester")
         size = d.size
-        read_row = self._read_row(requester)
-        return min(self._cloud_wait[c] + read_row[c] * size for c in a.clouds)
+        uplink = self._uplink[requester]
+        return min(self._cloud_wait[c] + (1.0 / uplink[c] + self._cloud_read[c]) * size for c in a.clouds)
 
     def objective(self, d: DataItem):
         """Bind a datum; returns the callable optimizers minimize."""

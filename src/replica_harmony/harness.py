@@ -9,7 +9,7 @@ Infeasible data are counted as failures and skipped, never dropped
 silently.
 
 Seed hygiene: the experiment derives from (root_seed, scenario) only, so
-every algorithm sees the same one and run_grid builds it once per seed; the
+every algorithm sees the same one and run_grids builds it once per seed; the
 optimizer stream adds the algorithm name and datum id.
 
 Baselines are budget-matched: a datum allowing E exercises grants every
@@ -295,13 +295,10 @@ class ComparisonRow:
 
 @dataclass(frozen=True)
 class ComparisonTable:
-    scenario: str
-    seeds: tuple[int, ...]
     rows: tuple[ComparisonRow, ...]
     # (a, b) -> fraction of paired seeds where a's total mean cost beats b's;
     # ties count 0.5
     win_rates: dict[tuple[str, str], float]
-    reports: dict[tuple[str, int], RunReport]
 
 
 def run_grids(grids, algorithms, options: TrialOptions = TrialOptions(), workers: int = 1) -> list[dict]:
@@ -329,16 +326,6 @@ def run_grids(grids, algorithms, options: TrialOptions = TrialOptions(), workers
             reports.update(next(done))
         results.append({(algo, seed): reports[(algo, seed)] for algo in algorithms for seed in seeds})
     return results
-
-
-def run_grid(
-    spec: ScenarioSpec,
-    algorithms,
-    seeds,
-    options: TrialOptions = TrialOptions(),
-) -> dict[tuple[str, int], RunReport]:
-    """Every (algorithm, seed) trial, keyed algorithm-major in argument order."""
-    return run_grids([(spec, seeds)], algorithms, options)[0]
 
 
 def _run_seed(algorithms, options, unit) -> dict[tuple[str, int], RunReport]:
@@ -524,17 +511,18 @@ def compare_algorithms(
     seeds,
     options: TrialOptions = TrialOptions(),
 ) -> ComparisonTable:
+    """The table of every (algorithm, seed) trial on spec; the seeds fan out
+    over the CPUs this process may run on, with the serial run's reports."""
     algorithms = list(algorithms)
     seeds = list(seeds)
-    return comparison_table(spec, algorithms, seeds, run_grid(spec, algorithms, seeds, options))
+    reports = run_grids([(spec, seeds)], algorithms, options, _cpu_count())[0]
+    return comparison_table(algorithms, seeds, reports)
 
 
-def comparison_table(spec: ScenarioSpec, algorithms, seeds, reports) -> ComparisonTable:
-    """The table of run_grid's reports for (spec, algorithms, seeds)."""
+def comparison_table(algorithms, seeds, reports) -> ComparisonTable:
+    """The table of one grid's run_grids reports for (algorithms, seeds)."""
     by_seed = {algo: {seed: reports[(algo, seed)] for seed in seeds} for algo in algorithms}
     return ComparisonTable(
-        scenario=spec.name,
-        seeds=tuple(seeds),
         rows=tuple(summary_row(algo, list(by_seed[algo].values())) for algo in algorithms),
         win_rates={
             (a, b): win_rate(by_seed[a], by_seed[b])[0]
@@ -542,7 +530,6 @@ def comparison_table(spec: ScenarioSpec, algorithms, seeds, reports) -> Comparis
             for b in algorithms
             if a != b
         },
-        reports=reports,
     )
 
 

@@ -44,7 +44,7 @@ from replica_harmony.scenario import (
     scenario_to_json,
 )
 
-from test_harness import TWO, assert_no_child_left
+from test_harness import TWO, assert_no_child_left, counting_forks
 
 
 def write_tiny_scenario(path, name="tiny", **overrides):
@@ -576,21 +576,6 @@ def test_run_fixed_exercises_output_digests(tmp_path, monkeypatch):
     spec_text = scenario_to_json(dataclasses.replace(builtin_scenario(2), timesteps=20))
     argv = ["run", "--algo", "hs", "--algo", "foa", "--exercises", "3", "--seeds", "2"]
     assert _output_digests(tmp_path, spec_text, argv) == FIXED_EXERCISE_DIGESTS
-
-
-def counting_forks(monkeypatch) -> list:
-    """The pids os.fork returns in this process from now on."""
-    forks = []
-    fork = os.fork
-
-    def counting():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting)
-    return forks
 
 
 @pytest.mark.parametrize("command, seeds", [("compare", "0,1"), ("run", "0,1,2")])

@@ -328,7 +328,6 @@ def test_out_of_range_gateway_raises_before_any_row_is_built(gateway):
     with pytest.raises(InvalidAllocation):
         model.access_delay(DataItem(0, 50.0, 0, 2), a, gateway)
     assert model._entry_rows == [None] * 60
-    assert model._read_rows == [None] * 60
 
 
 @pytest.mark.parametrize("clouds", [(0, 7), (7, 0), (0, -1), (-1, 0), (2, 0, 99)])

@@ -25,7 +25,7 @@ from replica_harmony.harness import (
     recompute_totals,
     report_from_csv,
     report_to_csv,
-    run_grid,
+    run_grids,
     run_trial,
     run_trial_detailed,
     seed_mean,
@@ -156,7 +156,7 @@ def test_compare_single_cell_collapses_to_run_trial():
 
 
 def test_run_grid_keys_are_algorithm_major():
-    grid = run_grid(small_spec(timesteps=5), ["random", "hs"], [3, 1])
+    grid = run_grids([(small_spec(timesteps=5), [3, 1])], ["random", "hs"])[0]
     assert list(grid) == [("random", 3), ("random", 1), ("hs", 3), ("hs", 1)]
     assert grid[("hs", 1)] == run_trial(small_spec(timesteps=5), "hs", 1)
 
@@ -188,7 +188,7 @@ def test_run_grid_builds_one_experiment_per_seed(monkeypatch, stride):
         return original(spec, rng)
 
     monkeypatch.setattr(harness, "generate_topology", counting)
-    run_grid(small_spec(timesteps=5), ["hs", "random", "ga", "foa"], [0, stride, 2 * stride])
+    run_grids([(small_spec(timesteps=5), [0, stride, 2 * stride])], ["hs", "random", "ga", "foa"])[0]
     assert len(calls) == 3
 
 
@@ -205,7 +205,7 @@ def test_run_grid_frees_each_experiment_before_the_next(monkeypatch, stride):
         return experiment
 
     monkeypatch.setattr(harness, "build_experiment", tracked)
-    run_grid(small_spec(timesteps=5), ["hs", "random"], [0, stride, 2 * stride])
+    run_grids([(small_spec(timesteps=5), [0, stride, 2 * stride])], ["hs", "random"])[0]
     assert len(previous) == 3
 
 
@@ -217,6 +217,21 @@ TWO = min(2, CPUS)
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def counting_forks(monkeypatch) -> list:
+    """The pids os.fork returns in this process from now on."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
 
 
 def where(unit):
@@ -357,13 +372,29 @@ def test_workers_give_the_same_reports():
     spec = small_spec(timesteps=12, capacity_range_bytes=(300.0, 600.0))
     other = small_spec(timesteps=8, capacity_range_bytes=(300.0, 600.0))
     grids = [(spec, [0, 1, 2]), (other, [4])]
-    serial = harness.run_grids(grids, ALGORITHMS)
-    parallel = harness.run_grids(grids, ALGORITHMS, workers=2)
+    serial = run_grids(grids, ALGORITHMS)
+    parallel = run_grids(grids, ALGORITHMS, workers=2)
     assert parallel == serial
     assert [list(reports) for reports in parallel] == [list(reports) for reports in serial]
-    table = comparison_table(spec, ALGORITHMS, [0, 1, 2], parallel[0])
+    table = comparison_table(ALGORITHMS, [0, 1, 2], parallel[0])
     assert table == compare_algorithms(spec, ALGORITHMS, [0, 1, 2])
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("seeds", [[0, 1, 2], [5]], ids=["3seeds", "1seed"])
+def test_compare_fans_its_seeds_out_over_the_cpus(monkeypatch, seeds):
+    # one (spec, seed) unit per seed, so min(CPUs, seeds) processes: a
+    # single seed runs here
+    spec = small_spec(timesteps=12, capacity_range_bytes=(300.0, 600.0))
+    algos = ["hs", "random", "exhaustive"]
+    mask = os.sched_getaffinity(0)
+    forks = counting_forks(monkeypatch)
+    table = compare_algorithms(spec, algos, seeds)
+    assert len(forks) == min(CPUS, len(seeds)) - 1
+    assert_no_child_left()
+    assert os.sched_getaffinity(0) == mask
+    assert table == comparison_table(algos, seeds, run_grids([(spec, seeds)], algos)[0])
+    assert len(forks) == min(CPUS, len(seeds)) - 1  # run_grids defaults to one worker
 
 
 def count_derived_labels(monkeypatch) -> Counter:
@@ -387,7 +418,7 @@ def test_exhaustive_run_derives_no_optimizer_or_exercise_seed(monkeypatch):
     spec = small_spec(timesteps=12, capacity_range_bytes=(300.0, 600.0))
     data = data_per_seed(spec, [0, 1])
     labels = count_derived_labels(monkeypatch)
-    reports = run_grid(spec, ["exhaustive"], [0, 1])
+    reports = run_grids([(spec, [0, 1])], ["exhaustive"])[0]
     assert sum(r.totals.failures for r in reports.values()) > 0  # failed data draw nothing either
     assert labels == {"topology": 2, "workload": 2, "requester": data}
 
@@ -396,7 +427,7 @@ def test_fixed_exercises_derive_no_exercise_seed(monkeypatch):
     spec = small_spec(timesteps=12)
     data = data_per_seed(spec, [0])
     labels = count_derived_labels(monkeypatch)
-    run_grid(spec, ["hs", "random", "exhaustive"], [0], TrialOptions(exercises=3))
+    run_grids([(spec, [0])], ["hs", "random", "exhaustive"], TrialOptions(exercises=3))[0]
     assert labels == {"topology": 1, "workload": 1, "requester": data, "opt": 2 * data}
 
 
@@ -411,7 +442,7 @@ def test_drawn_exercises_are_the_eager_draws_once_per_experiment(monkeypatch):
     assert experiment.exercises == eager
     data = len(experiment.workload)
     labels = count_derived_labels(monkeypatch)
-    run_grid(spec, ["hs", "random"], [5])
+    run_grids([(spec, [5])], ["hs", "random"])[0]
     assert labels == {"topology": 1, "workload": 1, "requester": data, "exercises": data, "opt": 2 * data}
 
 
@@ -419,7 +450,7 @@ def test_failed_data_derive_no_optimizer_seed(monkeypatch):
     # tight capacities, so some data fail before any optimizer runs
     spec = small_spec(timesteps=12, capacity_range_bytes=(300.0, 600.0))
     labels = count_derived_labels(monkeypatch)
-    reports = run_grid(spec, ["hs"], [0, 1])
+    reports = run_grids([(spec, [0, 1])], ["hs"])[0]
     placed = sum(r.totals.placed for r in reports.values())
     assert sum(r.totals.failures for r in reports.values()) > 0
     assert labels["opt"] == placed
@@ -480,11 +511,11 @@ def test_run_grid_rejects_repeated_seeds_before_any_trial(monkeypatch):
 
     monkeypatch.setattr(harness, "build_experiment", no_trials)
     with pytest.raises(ConfigError, match="repeat"):
-        run_grid(small_spec(), ["hs"], [3, 1, 3])
+        run_grids([(small_spec(), [3, 1, 3])], ["hs"])[0]
     with pytest.raises(ConfigError, match="repeat"):
-        run_grid(small_spec(), ["hs", "random", "hs"], [3])
+        run_grids([(small_spec(), [3])], ["hs", "random", "hs"])[0]
     with pytest.raises(ConfigError, match="at least one algorithm and one seed"):
-        run_grid(small_spec(), ["hs"], [])
+        run_grids([(small_spec(), [])], ["hs"])[0]
 
 
 def test_check_totals_rejects_tampered_totals():

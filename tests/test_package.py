@@ -49,7 +49,7 @@ def test_only_config_errors_exit_2():
 
 def test_only_the_cli_touches_the_garbage_collector():
     # cli.main freezes the import-time heap once per process; the library
-    # entry points (run_grid, compare_algorithms) leave the collector alone
+    # entry points (run_grids, compare_algorithms) leave the collector alone
     users = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

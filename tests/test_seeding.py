@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from replica_harmony import harness
-from replica_harmony.harness import ALGORITHMS, run_grid
+from replica_harmony.harness import ALGORITHMS, run_grids
 from replica_harmony.scenario import ScenarioSpec
 from replica_harmony.seeding import derive_seed
 
@@ -40,7 +40,7 @@ def test_every_stream_a_grid_derives_is_the_hashlib_digest(monkeypatch):
 
     monkeypatch.setattr(harness, "derive_seed", recording)
     spec = ScenarioSpec(name="café Ω 網格", num_gateways=3, num_clouds=5, timesteps=12, arrival_probability=0.4)
-    run_grid(spec, ALGORITHMS, [-3, 2**64 + 5])
+    run_grids([(spec, [-3, 2**64 + 5])], ALGORITHMS)[0]
     assert {parts[2] for parts in calls} == {"topology", "workload", "exercises", "requester", "opt"}
     assert {parts[3] for parts in calls if parts[2] == "opt"} == set(ALGORITHMS) - {"exhaustive"}
     for parts in calls:
