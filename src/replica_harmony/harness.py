@@ -150,6 +150,8 @@ class Experiment:
 
 def draw_scenario(spec: ScenarioSpec, root_seed: int) -> tuple[Topology, tuple[DataItem, ...]]:
     """The topology and workload that (spec, root_seed) names, each from its own stream."""
+    if abs(root_seed) >= 10**100:  # output file names carry the seed
+        raise ConfigError(f"a seed must have at most 100 digits, got one of {len(str(abs(root_seed)))}")
     topology = generate_topology(spec, random.Random(derive_seed(root_seed, spec.name, "topology")))
     rng = random.Random(derive_seed(root_seed, spec.name, "workload"))
     return topology, tuple(generate_workload(spec, topology, rng))
@@ -445,6 +447,8 @@ def _child(run, units, worker: int, count: int, cpus, write_fd: int) -> None:
 
     try:
         _pin(cpus, worker)
+        # sent whole at the share's end: worker 0 reads the pipes only after its own share,
+        # so a result sent as its unit ended could fill the 64 KiB pipe and stall this worker
         share, failure = _run_share(run, units, worker, count)
         sent = {}
         for i, result in share.items():

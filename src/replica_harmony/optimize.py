@@ -119,30 +119,25 @@ def roulette_select_pair(memory: Sequence[Harmony], rng: random.Random) -> tuple
 
     Each pick is the first index whose running weight sum exceeds
     random() * the weights' total, else the last index of positive weight.
+    The second pick zeroes the first's weight w, which lowers the sums after
+    the first pick by w. Every sum is an integer, so the draw's floor x
+    compares with each lowered sum as the draw does, and x + w with the table's.
     """
-    tables = _roulette_tables(len(memory))
-    cum, total = tables[-1]
-    first = bisect.bisect_right(cum, rng.random() * total)
-    cum, total = tables[first]
-    return first, bisect.bisect_right(cum, rng.random() * total)
+    size = len(memory)
+    sums, total = _running_sums(size)
+    first = bisect.bisect_right(sums, rng.random() * total)
+    w = size - first
+    x = int(rng.random() * (total - w))
+    second = bisect.bisect_right(sums, x, 0, first)
+    if second == first:  # past every rank before the first; only a draw of 1.0 reaches size - 2
+        second = bisect.bisect_right(sums, x + w, first + 1) if first < size - 1 else size - 2
+    return first, second
 
 
 @functools.cache
-def _roulette_tables(size: int) -> tuple:
-    """(running weight sums, total) with weight k zeroed at index k < size,
-    and with none zeroed at index size.
-
-    The sums are integers, exact as floats, and a zeroed weight repeats the
-    sum before it, so bisect_right gives the first index whose sum exceeds
-    the draw. They stop before the last positive weight, so a draw past
-    them all, or at the total, gets that weight's index.
-    """
-    tables = []
-    for zeroed in range(size + 1):
-        weights = [0 if k == zeroed else size - k for k in range(size)]
-        last = max(k for k, w in enumerate(weights) if w)
-        tables.append((tuple(accumulate(weights[:last], initial=0.0))[1:], sum(weights)))
-    return tuple(tables)
+def _running_sums(size: int) -> tuple[tuple[float, ...], int]:
+    """The running sums of the weights size, size - 1, ..., 1 without the last, and their total."""
+    return tuple(accumulate(map(float, range(size, 1, -1)))), size * (size + 1) // 2
 
 
 def combine_harmonies(

@@ -47,9 +47,9 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # the name becomes part of output file names and CSV cells
-        if not self.name.isprintable():
-            raise ConfigError(f"name must be printable, got {self.name!r:.60}")
+        # the name goes into CSV cells and output file names, which hold at most 255 bytes
+        if not self.name.isprintable() or len(self.name.encode()) > 100:
+            raise ConfigError(f"name must be printable and at most 100 bytes, got {self.name!r:.60}")
         # rates are divided by and capacities must hold data, and a datum
         # gets at least one exercise; sizes, delays and waits are amounts
         positive = ("exercises_range", "gw_rate_range_bytes_per_s", "cloud_rate_range_bytes_per_s",

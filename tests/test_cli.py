@@ -3,9 +3,14 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
+import random
+import re
+import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +18,7 @@ import pytest
 import replica_harmony
 from replica_harmony import cli, harness
 from replica_harmony.cli import main, resolve_seeds
+from replica_harmony.cost import EnergyParams
 from replica_harmony.errors import (
     CapacityExceeded,
     ConfigError,
@@ -310,6 +316,7 @@ def _edited(doc, drop=(), **changes):
         (lambda d: _edited(d, name=3), "name must be a string"),
         (lambda d: _edited(d, name="lab\x00east"), "name must be printable"),
         (lambda d: _edited(d, name="lab\neast"), "name must be printable"),
+        (lambda d: _edited(d, name="é" * 51), "at most 100 bytes"),
         (lambda d: _edited(d, arrival_probability=float("nan")), "arrival_probability must be a finite"),
         (lambda d: _edited(d, capacity_range_bytes=[1, float("inf")]), "capacity_range_bytes must be a finite"),
         (lambda d: "[" * 200_000, "maximum recursion depth exceeded"),
@@ -319,7 +326,7 @@ def _edited(doc, drop=(), **changes):
         "no-name", "list", "policy-no-max", "policy-empty", "policy-list", "policy-unknown",
         "scalar-range", "long-range", "fractional-range", "null-seed", "typo-timestep",
         "typo-arrival", "fractional-timesteps", "bool-gateways", "string-clouds", "number-name",
-        "nul-name", "newline-name",
+        "nul-name", "newline-name", "long-name",
         "nan", "infinite", "deep", "long-int",
     ],
 )
@@ -395,6 +402,133 @@ def test_each_exit_code_has_one_error_class(tmp_path, capsys, monkeypatch, error
     assert "stub failure" in capsys.readouterr().err
 
 
+# Stand-ins for one field of an input file. A count gets at most 10: a
+# larger one is a valid request for a longer run, not bad input.
+MUTANT_COUNTS = [0, 1, 2, 3, 10, -1, 2.5, "2", "x", None, True, [2], [], {}]
+MUTANT_AMOUNTS = [0, -1, 0.5, 1e-320, 1e308, -1e308, 10**20, 10**400, math.nan, math.inf,
+                  "1.0", "", None, True, [1.0], {}]
+MUTANT_NAMES = ["", "lab:1", "a/b", "a,b", 'say "hi"', "nul\x00", "tab\t", "n" * 101, 3, None, ["tiny"]]
+COUNT_KEYS = {"num_gateways", "num_clouds", "timesteps", "exercises_range"}
+# argv values per flag: counts up to 10 and malformed ones
+MUTANT_ARGV = {
+    "--seeds": ["0", "1", "3", "10", "-1", "2.5", "x", "", ",", "1,1", "3,1,2", "-4,7",
+                "99999999999999999999,0", "1" * 101 + ",0", "1" * 5000],
+    "--hms": ["0", "1", "2", "10", "-1", "2.5", "x", ""],
+    "--exercises": ["0", "1", "2", "10", "-1", "2.5", "x", ""],
+    "--threads": ["0", "1", "2", "-1", "2.5", "x", ""],
+}
+# tokens swapped into a trial CSV or summary JSON before report
+MUTANT_TOKENS = ["", "0", "-1", "2.5", "-0.0", "nan", "inf", "1e999", "x", "null", '"3"', "true",
+                 "1" * 5000, "[" * 3000, ",", "\n"]
+
+
+def _mutant_field(rng, key, value):
+    """A hostile stand-in for one field of a scenario or energy-params document."""
+    counts = MUTANT_COUNTS if key in COUNT_KEYS else MUTANT_AMOUNTS
+    if key == "name":
+        return rng.choice(MUTANT_NAMES)
+    if key == "policy":
+        return rng.choice([{"min_replicas": rng.choice(MUTANT_COUNTS), "max_replicas": rng.choice(MUTANT_COUNTS)},
+                           {"min_replicas": 2}, rng.choice(MUTANT_COUNTS)])
+    if isinstance(value, list) and len(value) == 2:  # a [lo, hi] range
+        lo, hi = value
+        return rng.choice([[rng.choice(counts), hi], [lo, rng.choice(counts)], [hi, lo], [lo], [lo, hi, hi],
+                           rng.choice(counts)])
+    return rng.choice(counts)
+
+
+def _mutant_doc(rng, doc):
+    """doc with one or two fields replaced, dropped or joined by an unknown one."""
+    doc = dict(doc)
+    for _ in range(rng.randint(1, 2)):
+        key = rng.choice(sorted(doc))
+        edit = rng.random()
+        if edit < 0.1:
+            del doc[key]
+        elif edit < 0.15:
+            doc[key + "_typo"] = doc[key]
+        else:
+            doc[key] = _mutant_field(rng, key, doc[key])
+    return doc
+
+
+def _mutant_text(rng, text):
+    """text with one token replaced, two tokens swapped, a line repeated or dropped, or its tail cut."""
+    edit = rng.randrange(5)
+    lines = text.splitlines(keepends=True)
+    if edit == 2:
+        return text[: rng.randrange(len(text) + 1)]
+    if edit in (3, 4) and lines:
+        i = rng.randrange(len(lines))
+        return "".join(lines[:i] + lines[i : i + 1] * (2 if edit == 3 else 0) + lines[i + 1 :])
+    tokens = re.split(r"([,:\s\[\]{}])", text)
+    i, j = rng.randrange(len(tokens)), rng.randrange(len(tokens))
+    if edit == 0:
+        tokens[i] = rng.choice(MUTANT_TOKENS)
+    else:
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    return "".join(tokens)
+
+
+def test_seeded_mutations_keep_the_exit_code_contract(tmp_path, capsys, monkeypatch):
+    # Input files and argv, mutated from a fixed seed: a bad configuration
+    # exits 2 (or 3 where it asks for more replicas than clouds) and writes
+    # nothing; a bad trial file makes report exit 4; nothing exits 5 or
+    # shows a traceback. --threads stays at most 2, so no case forks more
+    # than one worker.
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    rng = random.Random(26)
+    spec_doc = json_doc(write_tiny_scenario(tmp_path / "tiny.json"))
+    energy_doc = json_doc(EnergyParams())
+    codes = Counter()
+    for case in range(150):
+        spec_path, energy_path = tmp_path / f"spec{case}.json", tmp_path / f"energy{case}.json"
+        out = tmp_path / f"out{case}"
+        spec_path.write_text(json.dumps(spec_doc))
+        energy_path.write_text(json.dumps(energy_doc))
+        command = rng.choice(["run", "compare"])
+        argv = [command, "--scenario", str(spec_path), "--algo", "hs", "--algo", "random",
+                "--energy-params", str(energy_path), "--out", str(out)]
+        channel = rng.choice(["scenario", "energy", "argv"])
+        if channel == "scenario":
+            spec_path.write_text(json.dumps(_mutant_doc(rng, spec_doc)))
+            if rng.random() < 0.25:
+                argv = ["generate", "--scenario", str(spec_path), "--out", str(out)]
+        elif channel == "energy":
+            energy_path.write_text(json.dumps(_mutant_doc(rng, energy_doc)))
+        else:
+            for flag in rng.sample(sorted(MUTANT_ARGV), rng.randint(1, 2)):
+                argv += [flag, rng.choice(MUTANT_ARGV[flag])]
+        code = main(argv)
+        err = capsys.readouterr().err
+        what = (channel, argv, spec_path.read_text(), energy_path.read_text(), err)
+        assert code in (0, 2, 3) and "Traceback" not in err, what
+        assert code == 0 or not out.exists(), what
+        codes[channel, code] += 1
+
+    runs = tmp_path / "runs"
+    assert main(["run", "--scenario", str(tmp_path / "tiny.json"), "--algo", "hs", "--algo", "random",
+                 "--seeds", "2", "--out", str(runs)]) == 0
+    files = sorted(path.name for path in runs.iterdir())
+    for case in range(60):
+        copy = tmp_path / f"report{case}"
+        shutil.copytree(runs, copy)
+        path = copy / rng.choice(files)
+        for _ in range(rng.randint(1, 3)):
+            path.write_text(_mutant_text(rng, path.read_text()))
+        capsys.readouterr()
+        code = main(["report", str(copy)])
+        captured = capsys.readouterr()
+        what = (path.name, path.read_text()[:2000], captured.err)
+        assert code in (0, 4) and "Traceback" not in captured.err, what
+        assert code == 0 or captured.out == "", what
+        codes["report", code] += 1
+    # every channel gets through to a run and is turned away somewhere
+    for channel in ("scenario", "energy", "argv"):
+        assert codes[channel, 0] and codes[channel, 2], codes
+    assert codes["report", 0] and codes["report", 4], codes
+
+
 def test_capacity_failure_at_the_commit_is_an_internal_error(tmp_path, capsys, monkeypatch):
     # PlacementProblem offers only clouds with room for the datum, so an
     # optimizer answer naming a full cloud is a bug, never a counted failure
@@ -466,6 +600,23 @@ def test_compare_rejects_scenarios_that_share_a_file_name(tmp_path, capsys):
     assert main(argv) == 2
     assert "repeat" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "run"])
+def test_the_longest_name_and_seed_fit_in_a_file_name(tmp_path, capsys, monkeypatch, command):
+    # a name of 100 bytes and a seed of 100 digits are the longest accepted;
+    # each output file name that holds them stays within 255 bytes
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    spec_path = tmp_path / "long.json"
+    longest = -(10**100 - 1)
+    write_tiny_scenario(spec_path, name="é" * 50, seed=longest)
+    argv = [command, "--scenario", str(spec_path)] + (["--algo", "exhaustive"] if command == "run" else [])
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert len(list((tmp_path / "out").iterdir())) == 2
+    monkeypatch.setenv("REPLICA_HARMONY_SEED", str(longest - 1))
+    assert main([*argv, "--out", str(tmp_path / "too-long")]) == 2
+    assert "a seed must have at most 100 digits, got one of 101" in capsys.readouterr().err
+    assert not (tmp_path / "too-long").exists()
 
 
 @pytest.mark.parametrize("seeds", ["x", "1,two", "2.5", ","])

@@ -18,30 +18,9 @@ from conftest import make_topology, tie_heavy_topology
 
 
 def naive_replication_cost(t: Topology, d: DataItem, a: AllocationVector) -> float:
-    """Straight transcription of the cost formula, no shared code with CostModel."""
-    size = d.size
-    g = t.gateways[d.source_gateway]
-    best = math.inf
-    for entry in a.clouds:
-        c = t.clouds[entry]
-        first = g.waiting_time_s + (
-            1.0 / t.links.gw_to_cloud[g.id][entry]
-            + g.read_delay_ms / 1000.0
-            + c.write_delay_ms / 1000.0
-        ) * size
-        worst_branch = 0.0
-        for other in a.clouds:
-            if other == entry:
-                continue
-            c2 = t.clouds[other]
-            branch = c.waiting_time_s + (
-                1.0 / t.links.cloud_to_cloud[entry][other]
-                + c.read_delay_ms / 1000.0
-                + c2.write_delay_ms / 1000.0
-            ) * size
-            worst_branch = max(worst_branch, branch)
-        best = min(best, first + worst_branch)
-    return best
+    """The cost formula's minimum over entry clouds, from its one transcription
+    here, unhoisted_candidates; no shared code with CostModel."""
+    return min(first + prop for _, first, prop in unhoisted_candidates(t, d, a))
 
 
 def random_instance(seed: int):

@@ -3,6 +3,7 @@ import gc
 import math
 import os
 import random
+import time
 import weakref
 from collections import Counter
 
@@ -365,6 +366,30 @@ def test_fan_out_reports_a_result_that_does_not_pickle_at_its_unit(raising):
         fan_out(run, range(5), 2)
     if caught.type is KeyError:
         assert caught.value.args == (raising,)
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(CPUS < 2, reason="one CPU runs every unit here, so unit 0 would wait for unit 3 forever")
+def test_a_worker_keeps_running_its_share_while_its_results_wait(tmp_path):
+    # Worker 1 runs units 1 and 3, while this process, worker 0, waits in
+    # unit 0 for unit 3. Unit 1's result outgrows a pipe buffer, so a worker
+    # that sent each result as its unit ended would block and never run unit 3.
+    ran = tmp_path / "unit 3 ran"
+    big = bytes(256 * 1024)
+
+    def run(unit):
+        if unit == 0:
+            deadline = time.monotonic() + 20
+            while not ran.exists():
+                assert time.monotonic() < deadline, "unit 3 did not run while unit 0 waited"
+                time.sleep(0.005)
+        elif unit == 1:
+            return big
+        elif unit == 3:
+            ran.touch()
+        return unit
+
+    assert fan_out(run, range(4), 2) == [0, big, 2, 3]
     assert_no_child_left()
 
 

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -261,7 +262,7 @@ def test_roulette_is_rank_based_on_equal_costs():
 
 def reference_roulette_select_pair(memory, rng: random.Random) -> tuple[int, int]:
     """roulette_select_pair as a running-sum scan per pick, the reference
-    for its bisect over cumulative tables."""
+    for its bisect over one table of running sums."""
     weights = list(range(len(memory), 0, -1))
     first = reference_roulette_draw(weights, rng)
     weights[first] = 0
@@ -336,6 +337,19 @@ def test_roulette_matches_reference_on_every_boundary(size):
     # most second draws land on a sum or one ulp below it
     assert landed >= pairs / 4 and one_ulp_below >= pairs / 4, (pairs, landed, one_ulp_below)
     assert fallbacks >= 2 * size
+
+
+def test_roulette_on_a_large_memory_builds_one_small_table():
+    # --hms has no upper bound, so the cached table must stay O(HMS): O(HMS²)
+    # would take 46.7 MiB here. No other test uses this size, so it is built cold.
+    memory = [None] * 1234
+    tracemalloc.start()
+    try:
+        first, second = roulette_select_pair(memory, random.Random(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first != second and peak < 2**20, peak
 
 
 def test_combine_identical_parents_returns_parent():
