@@ -94,18 +94,23 @@ def _env_seed(default: int) -> int:
 
 
 def resolve_seeds(raw: str | None, base: int) -> list[int]:
-    """A bare count N means seeds base..base+N-1; a comma list is explicit."""
-    if raw is None:
-        return [base]
+    """Every seed of a job, checked before its first trial: a bare count N
+    means seeds base..base+N-1 (None means N = 1); a comma list is explicit."""
     try:
-        if "," in raw:
-            return [int(part) for part in raw.split(",") if part.strip() != ""]
-        count = int(raw)
+        if raw is not None and "," in raw:
+            seeds = [int(part) for part in raw.split(",") if part.strip() != ""]
+        else:
+            count = 1 if raw is None else int(raw)
+            # a job holds its seed list, a set of it and a unit per seed before its first trial
+            seeds = range(base, base + count) if 1 <= count <= 10**6 else None
     except ValueError:
         raise ConfigError(f"--seeds must be a count or a comma list of integers, got {raw!r}") from None
-    if count < 1:
-        raise ConfigError("seed count must be >= 1")
-    return list(range(base, base + count))
+    if seeds is None:
+        raise ConfigError("seed count must be 1..1,000,000")
+    longest = max(map(abs, seeds), default=0)
+    if longest >= 10**100:  # output file names carry the seed
+        raise ConfigError(f"a seed must have at most 100 digits, got one of {len(str(longest))}")
+    return list(seeds)
 
 
 def _thread_count(raw: str) -> int:
@@ -138,7 +143,7 @@ def _write(path: Path, text: str) -> None:
 
 def cmd_generate(args) -> int:
     spec = resolve_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else _env_seed(spec.seed)
+    (seed,) = resolve_seeds(None, args.seed if args.seed is not None else _env_seed(spec.seed))
     out = Path(args.out)
 
     topology, workload = draw_scenario(spec, seed)

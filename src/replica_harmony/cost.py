@@ -72,7 +72,6 @@ class CostModel:
     def __init__(self, t: Topology):
         self.topology = t
         self._num_gateways = t.num_gateways
-        self._num_clouds = t.num_clouds
         self._uplink = t.links.gw_to_cloud
         cc = t.links.cloud_to_cloud
         self._gw_wait = tuple([g.waiting_time_s for g in t.gateways])
@@ -109,10 +108,10 @@ class CostModel:
         """Replication cost in seconds; fast path without the breakdown.
 
         One pass over the entry candidates with the expressions of
-        breakdown, keeping the first smallest total as min() does.
-        The pass range-checks each cloud id as an entry candidate; an id
-        past the end that an inner loop indexes first falls back to
-        check_allocation, so the error names the first bad id either way.
+        breakdown, keeping the first smallest total as min() does. Cloud
+        ids are not range-checked here: AllocationVector rejects negative
+        ones, and an id past the end raises IndexError, which falls back to
+        check_allocation, so the error names the first bad id.
         """
         g = d.source_gateway
         if not (0 <= g < self._num_gateways):
@@ -124,13 +123,10 @@ class CostModel:
         gw_wait = self._gw_wait[g]
         prop_base = self._prop_base
         cloud_waits = self._cloud_wait
-        n = self._num_clouds
         clouds = a.clouds
         best = None
         try:
             for c in clouds:
-                if not (0 <= c < n):
-                    raise InvalidAllocation(f"cloud id {c} out of range [0, {n})")
                 entry = gw_wait + entry_row[c] * size
                 prop_row = prop_base[c]
                 cloud_wait = cloud_waits[c]
@@ -205,7 +201,6 @@ class CostModel:
         prop_base = self._prop_base
         cloud_waits = self._cloud_wait
         orders = self._orders
-        n = self._num_clouds
         rows = []
         for c in feasible:
             entry = gw_wait + entry_row[c] * size
@@ -213,7 +208,7 @@ class CostModel:
             if r > 1:
                 order = orders[c]
                 if order is None:
-                    others = [c2 for c2 in range(n) if c2 != c]
+                    others = [c2 for c2 in range(len(prop_base)) if c2 != c]
                     order = orders[c] = tuple(sorted(others, key=prop_base[c].__getitem__))
                 left = r - 1
                 for c2 in order:
@@ -242,7 +237,7 @@ class CostModel:
             vector = tuple(sorted((c, *ties[: r - 1])))
             if best is None or vector < best:
                 best = vector
-        return AllocationVector(best), optimum
+        return AllocationVector.unchecked(best), optimum
 
     def access_delay(self, d: DataItem, a: AllocationVector, requester: int) -> float:
         """Best-replica retrieval time in seconds for the given gateway."""

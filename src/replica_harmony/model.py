@@ -124,13 +124,15 @@ class AllocationVector:
         for c in clouds:
             if type(c) is not int:
                 raise InvalidAllocation(f"cloud id {c!r} is not an int")
+            if c < 0:
+                raise InvalidAllocation(f"cloud id {c} is negative")
         object.__setattr__(self, "clouds", clouds)
         check_distinct(clouds)
 
     @classmethod
     def unchecked(cls, clouds: tuple[int, ...]) -> AllocationVector:
-        """clouds as given, unchecked: the optimizers' candidates are distinct
-        ints by construction, and commit_placement checks the one placed."""
+        """clouds as given, unchecked: the optimizers' and best_allocation's ids are distinct
+        in-range ints by construction or check, and commit_placement checks the one placed."""
         vector = object.__new__(cls)
         object.__setattr__(vector, "clouds", clouds)
         return vector

@@ -402,17 +402,18 @@ def test_each_exit_code_has_one_error_class(tmp_path, capsys, monkeypatch, error
     assert "stub failure" in capsys.readouterr().err
 
 
-# Stand-ins for one field of an input file. A count gets at most 10: a
-# larger one is a valid request for a longer run, not bad input.
+# Stand-ins for one field of an input file. A count in a file gets at most
+# 10, as a larger one only asks for a longer run; --seeds also gets counts
+# past its bound of 1,000,000, which exit 2 before any seed list is built.
 MUTANT_COUNTS = [0, 1, 2, 3, 10, -1, 2.5, "2", "x", None, True, [2], [], {}]
 MUTANT_AMOUNTS = [0, -1, 0.5, 1e-320, 1e308, -1e308, 10**20, 10**400, math.nan, math.inf,
                   "1.0", "", None, True, [1.0], {}]
 MUTANT_NAMES = ["", "lab:1", "a/b", "a,b", 'say "hi"', "nul\x00", "tab\t", "n" * 101, 3, None, ["tiny"]]
 COUNT_KEYS = {"num_gateways", "num_clouds", "timesteps", "exercises_range"}
-# argv values per flag: counts up to 10 and malformed ones
+# argv values per flag: counts up to 10, seed counts past the bound, and malformed ones
 MUTANT_ARGV = {
     "--seeds": ["0", "1", "3", "10", "-1", "2.5", "x", "", ",", "1,1", "3,1,2", "-4,7",
-                "99999999999999999999,0", "1" * 101 + ",0", "1" * 5000],
+                "99999999999999999999,0", "1" * 101 + ",0", "1" * 5000, "1" * 25, "1000001"],
     "--hms": ["0", "1", "2", "10", "-1", "2.5", "x", ""],
     "--exercises": ["0", "1", "2", "10", "-1", "2.5", "x", ""],
     "--threads": ["0", "1", "2", "-1", "2.5", "x", ""],
@@ -619,10 +620,21 @@ def test_the_longest_name_and_seed_fit_in_a_file_name(tmp_path, capsys, monkeypa
     assert not (tmp_path / "too-long").exists()
 
 
-@pytest.mark.parametrize("seeds", ["x", "1,two", "2.5", ","])
+# a count of 25 digits or just over a million is refused before any seed list is built
+@pytest.mark.parametrize("seeds", ["x", "1,two", "2.5", ",", "1" * 25, "1000001"])
 def test_unreadable_seed_list_is_a_config_error(tmp_path, seeds):
     argv = ["run", "--scenario", "builtin:1", "--seeds", seeds, "--out", str(tmp_path / "out")]
     assert main(argv) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_seed_is_checked_before_the_first_trial(tmp_path, capsys, monkeypatch):
+    trials = []
+    monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
+    argv = ["run", "--scenario", "builtin:1", "--seeds", "0," + "1" * 101, "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "a seed must have at most 100 digits, got one of 101" in capsys.readouterr().err
+    assert trials == []
     assert not (tmp_path / "out").exists()
 
 

@@ -39,6 +39,9 @@ def test_allocation_vector_rejects_duplicates_and_empty():
         AllocationVector((1, 2, 1))
     with pytest.raises(InvalidAllocation):
         AllocationVector(())
+    # a negative id names no cloud of any topology
+    with pytest.raises(InvalidAllocation, match="cloud id -1 is negative"):
+        AllocationVector((0, -1))
     # an id that is not an int is named, never truncated or parsed
     for clouds, bad in (((0, 1.7), "1.7"), (("1", "2"), "'1'"), ((0, True), "True")):
         with pytest.raises(InvalidAllocation, match=f"cloud id {bad} is not an int"):

@@ -124,7 +124,7 @@ def test_unit_bearing_json_keys_are_declared_once():
 
 def test_allocation_rules_are_spelled_in_model_py():
     # model.check_allocation and model.check_distinct own the cloud-id rules;
-    # only CostModel.total repeats the range check, inline in its hot loop
+    # CostModel.total repeats neither in its hot loop
     phrases = ("out of range [0,", "duplicate cloud ids")
     sites = {phrase: [] for phrase in phrases}
     for path in sorted(PACKAGE_DIR.glob("*.py")):
@@ -138,7 +138,7 @@ def test_allocation_rules_are_spelled_in_model_py():
                 if isinstance(node, ast.Constant) and phrase in str(node.value):
                     sites[phrase].append(owner.get(node, f"{path.stem}:{node.lineno}"))
     assert sites == {
-        "out of range [0,": ["cost.total", "model.check_allocation"],
+        "out of range [0,": ["model.check_allocation"],
         "duplicate cloud ids": ["model.check_distinct"],
     }
 
