@@ -113,15 +113,13 @@ def resolve_seeds(raw: str | None, base: int) -> list[int]:
     return list(seeds)
 
 
-def _thread_count(raw: str) -> int:
-    """--threads value: an integer >= 1, else an argparse error naming the flag."""
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {raw!r}")
-    return value
+def _out_dir(raw: str) -> Path:
+    """--out as a Path; ConfigError unless the nearest existing path on it is a directory. Creates nothing."""
+    out = Path(raw)
+    nearest = next((path for path in (out, *out.parents) if path.exists()), None)
+    if nearest is not None and not nearest.is_dir():
+        raise ConfigError(f"--out {raw}: {nearest} is not a directory")
+    return out
 
 
 def _trial_options(args) -> TrialOptions:
@@ -144,7 +142,7 @@ def _write(path: Path, text: str) -> None:
 def cmd_generate(args) -> int:
     spec = resolve_scenario(args.scenario)
     (seed,) = resolve_seeds(None, args.seed if args.seed is not None else _env_seed(spec.seed))
-    out = Path(args.out)
+    out = _out_dir(args.out)
 
     topology, workload = draw_scenario(spec, seed)
     slug = _slug(spec.name)
@@ -161,7 +159,7 @@ def cmd_run(args) -> int:
     spec = resolve_scenario(args.scenario)
     seeds = resolve_seeds(args.seeds, _env_seed(spec.seed))
     options = _trial_options(args)
-    out = Path(args.out)
+    out = _out_dir(args.out)
 
     (reports,) = _run_many([(spec, seeds)], args.algo, options, args.threads)
     slug = _slug(spec.name)
@@ -199,7 +197,7 @@ def cmd_compare(args) -> int:
     if len(set(slugs)) != len(slugs):
         raise ConfigError(f"scenarios {[spec.name for spec in specs]} repeat a plot file name")
     options = _trial_options(args)
-    out = Path(args.out)
+    out = _out_dir(args.out)
 
     # every scenario's trials run, in one fan-out, before any file is written,
     # so a failing one leaves none
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--exercises", type=int, help="fixed exercises per datum")
         p.add_argument("--energy-params", help="JSON file with e_uplink/e_intercloud/e_write")
         p.add_argument(
-            "--threads", type=_thread_count, default=1,
+            "--threads", type=int, default=1,
             help="worker processes (>= 1), at most one per CPU and per (scenario, seed); default 1",
         )
 

@@ -194,8 +194,20 @@ def _run_optimizer(
         return random_search(problem, budget, rng)
     if algorithm == "ga":
         return ga_optimize(problem, budget, rng)
-    # foa: run_trial_detailed admits no other name
+    # foa: _check_trial admits no other name
     return foa_optimize(problem, budget, rng)
+
+
+def _check_trial(spec: ScenarioSpec, algorithm: str, options: TrialOptions) -> None:
+    """ConfigError unless the algorithm is known and the trial's energy sums to a float."""
+    if algorithm not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
+    # the largest datum's energy, once per gateway and timestep, must sum to a float
+    r = min(spec.policy.max_replicas, spec.num_clouds)
+    largest = DataItem(0, spec.data_size_range_bytes[1], 0, r)
+    worst = placement_energy(largest, AllocationVector.unchecked(tuple(range(r))), options.energy)
+    if not math.isfinite(worst * spec.num_gateways * spec.timesteps):
+        raise ConfigError("energy overflows a float: lower the energy coefficients or data_size_range_bytes")
 
 
 def run_trial_detailed(
@@ -207,14 +219,7 @@ def run_trial_detailed(
 ) -> TrialResult:
     """One algorithm on the experiment of (spec, root_seed), built here when omitted;
     a passed experiment must be the one (spec, root_seed) names."""
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
-    # the largest datum's energy, once per gateway and timestep, must sum to a float
-    r = min(spec.policy.max_replicas, spec.num_clouds)
-    largest = DataItem(0, spec.data_size_range_bytes[1], 0, r)
-    worst = placement_energy(largest, AllocationVector.unchecked(tuple(range(r))), options.energy)
-    if not math.isfinite(worst * spec.num_gateways * spec.timesteps):
-        raise ConfigError("energy overflows a float: lower the energy coefficients or data_size_range_bytes")
+    _check_trial(spec, algorithm, options)
     if experiment is None:
         experiment = build_experiment(spec, root_seed)
     elif experiment.spec != spec or experiment.root_seed != root_seed:
@@ -305,18 +310,22 @@ def run_grids(grids, algorithms, options: TrialOptions = TrialOptions(), workers
     """Every (algorithm, seed) trial of each (spec, seeds) grid: one report
     dict per grid, keyed (algorithm, seed) algorithm-major in argument order.
 
-    Every grid is checked before any trial runs. Each (spec, seed) pair is
+    The workers and every grid are checked before any trial runs. Each (spec, seed) pair is
     one unit of fan_out: every algorithm runs on that seed's one Experiment.
     """
     algorithms = list(algorithms)
     grids = [(spec, list(seeds)) for spec, seeds in grids]
-    for _, seeds in grids:
+    if workers < 1:
+        raise ConfigError("workers (--threads) must be >= 1")
+    if len(set(algorithms)) != len(algorithms):
+        raise ConfigError(f"algorithms {algorithms} repeat an algorithm")
+    for spec, seeds in grids:
         if not algorithms or not seeds:
             raise ConfigError("need at least one algorithm and one seed")
         if len(set(seeds)) != len(seeds):
             raise ConfigError(f"seeds {seeds} repeat a seed")
-        if len(set(algorithms)) != len(algorithms):
-            raise ConfigError(f"algorithms {algorithms} repeat an algorithm")
+        for algorithm in algorithms:
+            _check_trial(spec, algorithm, options)
     units = [(spec, seed) for spec, seeds in grids for seed in seeds]
     done = iter(fan_out(partial(_run_seed, algorithms, options), units, workers))
     results = []

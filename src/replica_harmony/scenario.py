@@ -31,6 +31,8 @@ BUILTIN_SIZES = {1: (22, 8), 2: (25, 10), 3: (32, 15), 4: (40, 25)}
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A scenario, checked where it is built or read: ConfigError for a bad field, Infeasible for too few clouds."""
+
     name: str
     num_gateways: int
     num_clouds: int
@@ -76,18 +78,17 @@ class ScenarioSpec:
         if not math.isfinite(worst * self.num_gateways * self.timesteps):
             raise ConfigError("costs overflow a float: lower data_size_range_bytes, delays or waits, "
                               "or raise gw_rate_range_bytes_per_s or cloud_rate_range_bytes_per_s")
+        # last, so a spec with another fault gets its ConfigError; compare reads several specs
+        if self.policy.min_replicas > self.num_clouds:
+            raise Infeasible(f"scenario {self.name!r}: policy needs {self.policy.min_replicas} replicas "
+                             f"but there are only {self.num_clouds} clouds")
 
 
 def builtin_scenario(k: int) -> ScenarioSpec:
     if k not in BUILTIN_SIZES:
         raise ConfigError(f"unknown builtin scenario {k}; valid: 1..4")
     gateways, clouds = BUILTIN_SIZES[k]
-    return ScenarioSpec(
-        name=f"builtin:{k}",
-        num_gateways=gateways,
-        num_clouds=clouds,
-        policy=Policy(2, min(4, clouds)),
-    )
+    return ScenarioSpec(name=f"builtin:{k}", num_gateways=gateways, num_clouds=clouds)
 
 
 def generate_topology(spec: ScenarioSpec, rng: random.Random) -> Topology:
@@ -126,13 +127,9 @@ def generate_topology(spec: ScenarioSpec, rng: random.Random) -> Topology:
 
 def generate_workload(spec: ScenarioSpec, topology: Topology, rng: random.Random) -> list[DataItem]:
     """Bernoulli arrivals: each gateway spawns a datum with the spec
-    probability at every timestep 1..timesteps, in (timestep, gateway) order."""
+    probability at every timestep 1..timesteps, in (timestep, gateway) order.
+    ScenarioSpec has checked that the policy's minimum replica count fits the clouds."""
     max_replicas = min(spec.policy.max_replicas, topology.num_clouds)
-    if spec.policy.min_replicas > max_replicas:
-        raise Infeasible(
-            f"policy needs {spec.policy.min_replicas} replicas but the topology "
-            f"has only {topology.num_clouds} clouds"
-        )
     size_lo, size_hi = spec.data_size_range_bytes
     items: list[DataItem] = []
     for timestep in range(1, spec.timesteps + 1):

@@ -2,7 +2,16 @@ import random
 
 import pytest
 
+from replica_harmony import harness
 from replica_harmony.model import Gateway, LinkMatrix, MiniCloud, Topology
+
+
+@pytest.fixture
+def trials(monkeypatch):
+    """The arguments of every harness.run_trial call, none of which runs a trial."""
+    calls = []
+    monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+    return calls
 
 
 def make_topology(rng: random.Random, num_gateways: int, num_clouds: int,

@@ -580,16 +580,42 @@ def test_repeated_algorithm_is_a_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-def test_compare_writes_nothing_when_a_later_scenario_fails(tmp_path, capsys):
-    # one cloud cannot hold the policy's two replicas, so the second scenario is infeasible
-    write_tiny_scenario(tmp_path / "ok.json", name="ok")
-    bad = ScenarioSpec(name="bad", num_gateways=2, num_clouds=1, timesteps=3)
-    (tmp_path / "bad.json").write_text(scenario_to_json(bad))
+def test_compare_writes_nothing_when_a_later_scenario_fails(tmp_path, capsys, trials):
+    # one cloud cannot hold the policy's two replicas, so the second scenario
+    # is infeasible, and reading it stops the job before the first one's trials
+    doc = json_doc(write_tiny_scenario(tmp_path / "ok.json", name="ok"))
+    (tmp_path / "bad.json").write_text(json.dumps({**doc, "name": "bad", "num_clouds": 1}))
     argv = ["compare", "--scenario", str(tmp_path / "ok.json"), "--scenario", str(tmp_path / "bad.json"),
             "--algo", "hs", "--algo", "random", "--out", str(tmp_path / "out")]
     assert main(argv) == 3
-    assert "replicas" in capsys.readouterr().err
+    assert "scenario 'bad': policy needs 2 replicas" in capsys.readouterr().err
+    assert trials == []
     assert not (tmp_path / "out").exists()
+
+
+def test_energy_that_overflows_for_a_later_scenario_stops_the_job_before_any_trial(tmp_path, capsys, trials):
+    # at 4 replicas, 3 gateways and 12 timesteps, 1-byte data sum to 1.4e306 J and 1000-byte data overflow
+    write_tiny_scenario(tmp_path / "small.json", name="small", data_size_range_bytes=(1, 1))
+    write_tiny_scenario(tmp_path / "big.json", name="big", data_size_range_bytes=(1000, 1000))
+    (tmp_path / "energy.json").write_text(json.dumps({"e_write": 1e304}))
+    argv = ["compare", "--scenario", str(tmp_path / "small.json"), "--scenario", str(tmp_path / "big.json"),
+            "--energy-params", str(tmp_path / "energy.json"), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "energy overflows" in capsys.readouterr().err
+    assert trials == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+@pytest.mark.parametrize("command", ["generate", "run", "compare"])
+def test_out_at_or_under_a_file_is_a_config_error(tmp_path, capsys, trials, command, out):
+    write_tiny_scenario(tmp_path / "tiny.json")
+    (tmp_path / "file").write_text("kept")
+    assert main([command, "--scenario", str(tmp_path / "tiny.json"), "--out", str(tmp_path / out)]) == 2
+    assert f"{tmp_path / 'file'} is not a directory" in capsys.readouterr().err
+    assert trials == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["file", "tiny.json"]
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_compare_rejects_scenarios_that_share_a_file_name(tmp_path, capsys):
@@ -628,9 +654,7 @@ def test_unreadable_seed_list_is_a_config_error(tmp_path, seeds):
     assert not (tmp_path / "out").exists()
 
 
-def test_every_seed_is_checked_before_the_first_trial(tmp_path, capsys, monkeypatch):
-    trials = []
-    monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
+def test_every_seed_is_checked_before_the_first_trial(tmp_path, capsys, trials):
     argv = ["run", "--scenario", "builtin:1", "--seeds", "0," + "1" * 101, "--out", str(tmp_path / "out")]
     assert main(argv) == 2
     assert "a seed must have at most 100 digits, got one of 101" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from replica_harmony import harness
+from replica_harmony.cost import EnergyParams
 from replica_harmony.errors import ConfigError, MalformedInput
 from replica_harmony.harness import (
     ALGORITHMS,
@@ -541,6 +542,19 @@ def test_run_grid_rejects_repeated_seeds_before_any_trial(monkeypatch):
         run_grids([(small_spec(), [3])], ["hs", "random", "hs"])[0]
     with pytest.raises(ConfigError, match="at least one algorithm and one seed"):
         run_grids([(small_spec(), [])], ["hs"])[0]
+
+
+def test_run_grids_checks_every_grid_before_any_trial(trials):
+    # at 4 replicas, 4 gateways and 30 timesteps, 1-byte data sum to 4.8e306 J and 1000-byte data overflow
+    small = small_spec(data_size_range_bytes=(1, 1))
+    big = small_spec(name="big", data_size_range_bytes=(1000, 1000))
+    with pytest.raises(ConfigError, match="unknown algorithm 'nope'"):
+        run_grids([(small, [0, 1])], ["hs", "nope"])
+    with pytest.raises(ConfigError, match="energy overflows"):
+        run_grids([(small, [0]), (big, [0])], ["hs"], TrialOptions(energy=EnergyParams(e_write=1e304)))
+    with pytest.raises(ConfigError, match="--threads"):
+        run_grids([(small, [0])], ["hs"], workers=0)
+    assert trials == []
 
 
 def test_check_totals_rejects_tampered_totals():

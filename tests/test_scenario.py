@@ -213,12 +213,9 @@ def test_workload_determinism():
 
 
 def test_workload_infeasible_policy():
-    spec = ScenarioSpec(
-        name="cramped", num_gateways=1, num_clouds=2, policy=Policy(3, 4), timesteps=2
-    )
-    t = generate_topology(spec, random.Random(0))
-    with pytest.raises(Infeasible):
-        generate_workload(spec, t, random.Random(0))
+    # the spec is refused where it is built, before any topology or workload is drawn
+    with pytest.raises(Infeasible, match="scenario 'cramped': policy needs 3 replicas but there are only 2 clouds"):
+        ScenarioSpec(name="cramped", num_gateways=1, num_clouds=2, policy=Policy(3, 4), timesteps=2)
 
 
 def test_scenario_json_round_trip():
