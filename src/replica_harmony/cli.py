@@ -3,8 +3,8 @@
 Subcommands: generate (topology + workload files), run (trial CSV/JSON
 reports), compare (comparison table, win rates, plot data), report
 (rankings from a directory of run outputs). All randomness flows from the
-seed flags, REPLICA_HARMONY_SEED, or a scenario file's seed field, in that
-order of precedence; identical invocations produce identical bytes.
+seed flags, else a scenario file's seed field; the package reads no
+environment variable, so identical invocations produce identical bytes.
 --threads N runs the (scenario, seed) units of run and compare on up to N
 processes, one per CPU, with the same output bytes (harness.fan_out); at 1
 they run in this process. The first main() call in a process freezes the
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -54,8 +53,6 @@ EXIT_INTERNAL = 5
 # the error class behind each other exit code; any other exception is internal
 ERROR_EXITS = ((ConfigError, 2), (Infeasible, 3), ((MalformedInput, OSError), 4))
 
-SEED_ENV_VAR = "REPLICA_HARMONY_SEED"
-
 # a comparison.csv row's cells after the scenario
 _row_values = field_values(ComparisonRow)
 
@@ -80,17 +77,6 @@ def _read_json(path: str, cls):
         return dataclass_from_json_text(cls, Path(path).read_bytes())
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-
-
-def _env_seed(default: int) -> int:
-    """REPLICA_HARMONY_SEED as an integer, or default when it is unset."""
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def resolve_seeds(raw: str | None, base: int) -> list[int]:
@@ -141,7 +127,7 @@ def _write(path: Path, text: str) -> None:
 
 def cmd_generate(args) -> int:
     spec = resolve_scenario(args.scenario)
-    (seed,) = resolve_seeds(None, args.seed if args.seed is not None else _env_seed(spec.seed))
+    (seed,) = resolve_seeds(None, spec.seed if args.seed is None else args.seed)
     out = _out_dir(args.out)
 
     topology, workload = draw_scenario(spec, seed)
@@ -157,7 +143,7 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     spec = resolve_scenario(args.scenario)
-    seeds = resolve_seeds(args.seeds, _env_seed(spec.seed))
+    seeds = resolve_seeds(args.seeds, spec.seed)
     options = _trial_options(args)
     out = _out_dir(args.out)
 
@@ -201,7 +187,7 @@ def cmd_compare(args) -> int:
 
     # every scenario's trials run, in one fan-out, before any file is written,
     # so a failing one leaves none
-    grids = [(spec, resolve_seeds(args.seeds, _env_seed(spec.seed))) for spec in specs]
+    grids = [(spec, resolve_seeds(args.seeds, spec.seed)) for spec in specs]
     comparison_rows = []
     win_rows = []
     plots = {}

@@ -149,10 +149,11 @@ class Experiment:
 
 
 def draw_scenario(spec: ScenarioSpec, root_seed: int) -> tuple[Topology, tuple[DataItem, ...]]:
-    """The topology and workload that (spec, root_seed) names, for any integer seed, each from its own stream."""
+    """The topology and workload that (spec, root_seed) names, for any integer seed, each from its own
+    stream and both sized by the spec alone."""
     topology = generate_topology(spec, random.Random(derive_seed(root_seed, spec.name, "topology")))
-    rng = random.Random(derive_seed(root_seed, spec.name, "workload"))
-    return topology, tuple(generate_workload(spec, topology, rng))
+    workload = generate_workload(spec, random.Random(derive_seed(root_seed, spec.name, "workload")))
+    return topology, tuple(workload)
 
 
 def build_experiment(spec: ScenarioSpec, root_seed: int) -> Experiment:
@@ -160,9 +161,7 @@ def build_experiment(spec: ScenarioSpec, root_seed: int) -> Experiment:
     topology, workload = draw_scenario(spec, root_seed)
     model = CostModel(topology)
     requesters = tuple(
-        random.Random(derive_seed(root_seed, spec.name, "requester", d.id)).randrange(
-            topology.num_gateways
-        )
+        random.Random(derive_seed(root_seed, spec.name, "requester", d.id)).randrange(spec.num_gateways)
         for d in workload
     )
     return Experiment(spec, root_seed, topology, workload, model, requesters)

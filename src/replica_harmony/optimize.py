@@ -33,8 +33,9 @@ class PlacementProblem:
     """One datum against the current topology state.
 
     feasible_clouds holds the ids with free capacity for the datum, in
-    ascending order. Construction fails with Infeasible when fewer than
-    replica_count clouds qualify.
+    ascending order. Construction fails with ValueError for a datum of no
+    replica or of a size not >= 0, as best_allocation does, and with
+    Infeasible when fewer than replica_count clouds qualify.
     """
 
     def __init__(
@@ -45,6 +46,9 @@ class PlacementProblem:
     ):
         self.datum = datum
         size = datum.size
+        if datum.replica_count < 1 or not size >= 0:
+            raise ValueError(f"datum {datum.id} needs >= 1 replica and a size >= 0, "
+                             f"got {datum.replica_count} replicas of {size} bytes")
         # MiniCloud.free_capacity's expression, read inline: no property call per cloud
         self.feasible_clouds: tuple[int, ...] = tuple(
             [c.id for c in topology.clouds if c.total_capacity - c.used_capacity >= size]

@@ -125,15 +125,16 @@ def generate_topology(spec: ScenarioSpec, rng: random.Random) -> Topology:
     return Topology(gateways, clouds, LinkMatrix.unchecked(gw_to_cloud, cloud_to_cloud))
 
 
-def generate_workload(spec: ScenarioSpec, topology: Topology, rng: random.Random) -> list[DataItem]:
-    """Bernoulli arrivals: each gateway spawns a datum with the spec
-    probability at every timestep 1..timesteps, in (timestep, gateway) order.
-    ScenarioSpec has checked that the policy's minimum replica count fits the clouds."""
-    max_replicas = min(spec.policy.max_replicas, topology.num_clouds)
+def generate_workload(spec: ScenarioSpec, rng: random.Random) -> list[DataItem]:
+    """Bernoulli arrivals: each of the spec's gateways spawns a datum with the
+    spec probability at every timestep 1..timesteps, in (timestep, gateway)
+    order. Replica counts are capped at the spec's clouds; ScenarioSpec has
+    checked that the policy's minimum fits them."""
+    max_replicas = min(spec.policy.max_replicas, spec.num_clouds)
     size_lo, size_hi = spec.data_size_range_bytes
     items: list[DataItem] = []
     for timestep in range(1, spec.timesteps + 1):
-        for g in range(topology.num_gateways):
+        for g in range(spec.num_gateways):
             if rng.random() < spec.arrival_probability:
                 items.append(
                     DataItem(

@@ -152,20 +152,35 @@ def test_run_writes_one_report_per_seed(tmp_path):
     assert (out / "trial_tiny_hs_seed1.csv").read_bytes() == before
 
 
-def test_run_respects_env_seed(tmp_path, monkeypatch):
+def test_the_environment_names_no_seed(tmp_path, monkeypatch):
+    # seeds come from the flags or the scenario file, so a seed in the
+    # environment, valid or not, changes no exit code and no byte
     spec_path = tmp_path / "tiny.json"
-    write_tiny_scenario(spec_path)
-    monkeypatch.setenv("REPLICA_HARMONY_SEED", "50")
-    out = tmp_path / "runs"
-    assert main(["run", "--scenario", str(spec_path), "--algo", "hs", "--seeds", "2",
-                 "--out", str(out)]) == 0
-    assert sorted(p.name for p in out.glob("trial_*.csv")) == [
-        "trial_tiny_hs_seed50.csv",
-        "trial_tiny_hs_seed51.csv",
-    ]
+    write_tiny_scenario(spec_path, seed=7)
+    argvs = {
+        "generate": ["generate", "--scenario", str(spec_path)],
+        "run": ["run", "--scenario", str(spec_path), "--algo", "hs", "--seeds", "2"],
+        "compare": ["compare", "--scenario", str(spec_path), "--algo", "hs", "--algo", "random"],
+    }
+
+    def outputs(label):
+        written = {}
+        for command, argv in argvs.items():
+            out = tmp_path / label / command
+            assert main([*argv, "--out", str(out)]) == 0
+            written[command] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        return written
+
+    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+    unset = outputs("unset")
+    assert list(unset["run"]) == ["trial_tiny_hs_seed7.csv", "trial_tiny_hs_seed7.json",
+                                  "trial_tiny_hs_seed8.csv", "trial_tiny_hs_seed8.json"]
+    for value in ("50", "seven"):
+        monkeypatch.setenv("REPLICA_HARMONY_SEED", value)
+        assert outputs(value) == unset
 
 
-def test_generate_seed_precedence_flag_env_spec(tmp_path, monkeypatch):
+def test_generate_seed_precedence_flag_spec(tmp_path):
     spec_path = tmp_path / "tiny.json"
     write_tiny_scenario(spec_path, seed=7)
 
@@ -173,14 +188,11 @@ def test_generate_seed_precedence_flag_env_spec(tmp_path, monkeypatch):
         assert main(["generate", "--scenario", str(spec_path), "--out", str(tmp_path / out), *extra]) == 0
         return json.loads(next((tmp_path / out).glob("workload_*.json")).read_text())["seed"]
 
-    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
     assert written_seed("spec") == 7
-    monkeypatch.setenv("REPLICA_HARMONY_SEED", "0")
-    assert written_seed("env") == 0
     assert written_seed("flag", "--seed", "3") == 3
 
 
-def test_run_and_compare_seed_precedence_env_spec(tmp_path, monkeypatch):
+def test_run_and_compare_seed_precedence_spec(tmp_path):
     spec_path = tmp_path / "tiny.json"
     write_tiny_scenario(spec_path, seed=7)
 
@@ -189,7 +201,6 @@ def test_run_and_compare_seed_precedence_env_spec(tmp_path, monkeypatch):
                      str(tmp_path / out), *extra]) == 0
         return sorted(p.name for p in (tmp_path / out).glob("trial_*.csv"))
 
-    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
     assert trial_csvs("spec") == ["trial_tiny_hs_seed7.csv"]
     assert trial_csvs("count", "--seeds", "2") == ["trial_tiny_hs_seed7.csv", "trial_tiny_hs_seed8.csv"]
 
@@ -205,9 +216,6 @@ def test_run_and_compare_seed_precedence_env_spec(tmp_path, monkeypatch):
     tiny = scenario_from_json(spec_path.read_text())
     assert rows[("tiny", "hs")] == repr(run_trial(tiny, "hs", 7).totals.mean_cost_s)
     assert rows[("other", "hs")] == repr(run_trial(other, "hs", 0).totals.mean_cost_s)
-
-    monkeypatch.setenv("REPLICA_HARMONY_SEED", "0")
-    assert trial_csvs("env") == ["trial_tiny_hs_seed0.csv"]
 
 
 @pytest.mark.parametrize(
@@ -471,17 +479,25 @@ def _mutant_text(rng, text):
     return "".join(tokens)
 
 
-def test_seeded_mutations_keep_the_exit_code_contract(tmp_path, capsys, monkeypatch):
+def test_seeded_mutations_keep_the_exit_code_contract(tmp_path, capsys):
     # Input files and argv, mutated from a fixed seed: a bad configuration
     # exits 2 (or 3 where it asks for more replicas than clouds) and writes
     # nothing; a bad trial file makes report exit 4; nothing exits 5 or
     # shows a traceback. --threads stays at most 2, so no case forks more
     # than one worker.
-    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
     rng = random.Random(26)
     spec_doc = json_doc(write_tiny_scenario(tmp_path / "tiny.json"))
     energy_doc = json_doc(EnergyParams())
     codes = Counter()
+
+    def check(channel, argv, spec_path, energy_path, out):
+        code = main(argv)
+        err = capsys.readouterr().err
+        what = (channel, argv, spec_path.read_text(), energy_path.read_text(), err)
+        assert code in (0, 2, 3) and "Traceback" not in err, what
+        assert code == 0 or not out.exists(), what
+        codes[channel, code] += 1
+
     for case in range(150):
         spec_path, energy_path = tmp_path / f"spec{case}.json", tmp_path / f"energy{case}.json"
         out = tmp_path / f"out{case}"
@@ -500,12 +516,17 @@ def test_seeded_mutations_keep_the_exit_code_contract(tmp_path, capsys, monkeypa
         else:
             for flag in rng.sample(sorted(MUTANT_ARGV), rng.randint(1, 2)):
                 argv += [flag, rng.choice(MUTANT_ARGV[flag])]
-        code = main(argv)
-        err = capsys.readouterr().err
-        what = (channel, argv, spec_path.read_text(), energy_path.read_text(), err)
-        assert code in (0, 2, 3) and "Traceback" not in err, what
-        assert code == 0 or not out.exists(), what
-        codes[channel, code] += 1
+        check(channel, argv, spec_path, energy_path, out)
+    # fixed cases, as no seeded one asks for more replicas than clouds:
+    # a policy of 10..10 on the tiny spec's 5 clouds
+    spec_path, energy_path = tmp_path / "crowded.json", tmp_path / "energy.json"
+    spec_path.write_text(json.dumps({**spec_doc, "policy": {"min_replicas": 10, "max_replicas": 10}}))
+    energy_path.write_text(json.dumps(energy_doc))
+    for command in ("run", "compare"):
+        out = tmp_path / f"crowded-{command}"
+        argv = [command, "--scenario", str(spec_path), "--algo", "hs", "--algo", "random",
+                "--energy-params", str(energy_path), "--out", str(out)]
+        check("scenario", argv, spec_path, energy_path, out)
 
     runs = tmp_path / "runs"
     assert main(["run", "--scenario", str(tmp_path / "tiny.json"), "--algo", "hs", "--algo", "random",
@@ -527,7 +548,7 @@ def test_seeded_mutations_keep_the_exit_code_contract(tmp_path, capsys, monkeypa
     # every channel gets through to a run and is turned away somewhere
     for channel in ("scenario", "energy", "argv"):
         assert codes[channel, 0] and codes[channel, 2], codes
-    assert codes["report", 0] and codes["report", 4], codes
+    assert codes["scenario", 3] and codes["report", 0] and codes["report", 4], codes
 
 
 def test_capacity_failure_at_the_commit_is_an_internal_error(tmp_path, capsys, monkeypatch):
@@ -630,17 +651,16 @@ def test_compare_rejects_scenarios_that_share_a_file_name(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["generate", "run"])
-def test_the_longest_name_and_seed_fit_in_a_file_name(tmp_path, capsys, monkeypatch, command):
+def test_the_longest_name_and_seed_fit_in_a_file_name(tmp_path, capsys, command):
     # a name of 100 bytes and a seed of 100 digits are the longest accepted;
     # each output file name that holds them stays within 255 bytes
-    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
     spec_path = tmp_path / "long.json"
     longest = -(10**100 - 1)
     write_tiny_scenario(spec_path, name="é" * 50, seed=longest)
     argv = [command, "--scenario", str(spec_path)] + (["--algo", "exhaustive"] if command == "run" else [])
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
     assert len(list((tmp_path / "out").iterdir())) == 2
-    monkeypatch.setenv("REPLICA_HARMONY_SEED", str(longest - 1))
+    write_tiny_scenario(spec_path, name="é" * 50, seed=longest - 1)
     assert main([*argv, "--out", str(tmp_path / "too-long")]) == 2
     assert "a seed must have at most 100 digits, got one of 101" in capsys.readouterr().err
     assert not (tmp_path / "too-long").exists()
@@ -662,14 +682,7 @@ def test_every_seed_is_checked_before_the_first_trial(tmp_path, capsys, trials):
     assert not (tmp_path / "out").exists()
 
 
-def test_non_integer_env_seed_is_a_config_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REPLICA_HARMONY_SEED", "seven")
-    assert main(["run", "--scenario", "builtin:1", "--out", str(tmp_path / "out")]) == 2
-    assert "REPLICA_HARMONY_SEED" in capsys.readouterr().err
-
-
-def test_generate_writes_the_experiment_run_simulates(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+def test_generate_writes_the_experiment_run_simulates(tmp_path):
     spec_path = tmp_path / "tiny.json"
     spec = write_tiny_scenario(spec_path, seed=7)
     assert main(["generate", "--scenario", str(spec_path), "--out", str(tmp_path / "gen")]) == 0
@@ -694,8 +707,7 @@ EXHAUSTIVE_DIGESTS = {
 }
 
 
-def test_run_exhaustive_output_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+def test_run_exhaustive_output_digests(tmp_path):
     spec_path = tmp_path / "builtin2.json"
     spec_path.write_text(scenario_to_json(dataclasses.replace(builtin_scenario(2), timesteps=20)))
     out = tmp_path / "runs"
@@ -752,14 +764,12 @@ def _output_digests(tmp_path, spec_text, argv):
     ],
     ids=["builtin1", "tight"],
 )
-def test_compare_output_digests(tmp_path, monkeypatch, spec_text, digests):
-    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+def test_compare_output_digests(tmp_path, spec_text, digests):
     argv = ["compare", *FOUR_ALGOS, "--seeds", "0,1", "--threads", "2"]
     assert _output_digests(tmp_path, spec_text, argv) == digests
 
 
-def test_run_fixed_exercises_output_digests(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
+def test_run_fixed_exercises_output_digests(tmp_path):
     spec_text = scenario_to_json(dataclasses.replace(builtin_scenario(2), timesteps=20))
     argv = ["run", "--algo", "hs", "--algo", "foa", "--exercises", "3", "--seeds", "2"]
     assert _output_digests(tmp_path, spec_text, argv) == FIXED_EXERCISE_DIGESTS
@@ -769,7 +779,6 @@ def test_run_fixed_exercises_output_digests(tmp_path, monkeypatch):
 def test_threads_write_the_same_bytes(tmp_path, monkeypatch, command, seeds):
     # compare: 2 scenarios x 2 seeds, run: 3 seeds, so every job has more
     # (scenario, seed) units than workers
-    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
     write_tiny_scenario(tmp_path / "a.json", name="a")
     write_tiny_scenario(tmp_path / "b.json", name="b")
     scenarios = ["--scenario", str(tmp_path / "a.json")]
@@ -800,7 +809,6 @@ def test_a_failing_unit_fails_the_job_as_a_serial_run_does(tmp_path, capsys, mon
                                                            shown):
     # at --threads 2, seeds 0 and 2 run in this process and seed 1 in a child;
     # the earliest failing seed's error is the one reported
-    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
     original = harness.build_experiment
 
     def failing_seeds(spec, seed):
@@ -1203,10 +1211,9 @@ def probe_argvs(tmp_path, *flags) -> list:
     ]
 
 
-def test_run_and_compare_never_load_openssl(tmp_path, monkeypatch):
+def test_run_and_compare_never_load_openssl(tmp_path):
     # seeding hashes with CPython's built-in SHA-256: hashlib would map
     # OpenSSL's libcrypto into every job for the same digest
-    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
     result = run_probe(tmp_path, probe_argvs(tmp_path))
     frozen = result.pop("frozen")
     assert result["codes"] == [0, 0]
@@ -1220,17 +1227,15 @@ def test_run_and_compare_never_load_openssl(tmp_path, monkeypatch):
     assert startup < first and second <= first, frozen
 
 
-def test_serial_run_and_compare_never_fork_or_import_pickle(tmp_path, monkeypatch):
+def test_serial_run_and_compare_never_fork_or_import_pickle(tmp_path):
     # at --threads 1 the units run in the job's own process, so a one-worker
     # job pays for neither a child nor the pickle or threading import
-    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
     result = run_probe(tmp_path, probe_argvs(tmp_path, "--threads", "1"))
     assert (result["codes"], result["loaded"], result["forks"]) == ([0, 0], [], 0)
 
 
-def test_threads_beyond_the_units_and_cpus_fork_no_more(tmp_path, monkeypatch):
+def test_threads_beyond_the_units_and_cpus_fork_no_more(tmp_path):
     # a 2-unit job at --threads 64 makes min(CPUs, 2) workers: this process and at most one child
-    monkeypatch.delenv("REPLICA_HARMONY_SEED", raising=False)
     spec_path = tmp_path / "tiny.json"
     write_tiny_scenario(spec_path)
     argv = ["run", "--scenario", str(spec_path), "--algo", "hs", "--seeds", "2", "--threads", "64",

@@ -94,6 +94,22 @@ def test_placement_problem_excludes_full_clouds():
     assert problem.feasible_clouds == (1, 2, 3)
 
 
+@pytest.mark.parametrize(
+    "size, replicas, shown",
+    [(50.0, 0, "0 replicas of 50.0 bytes"), (-50.0, 2, "2 replicas of -50.0 bytes"),
+     (math.nan, 2, "2 replicas of nan bytes")],
+    ids=["zero-replicas", "negative-size", "nan-size"],
+)
+def test_placement_problem_refuses_a_datum_no_placement_fits(size, replicas, shown):
+    # the rules best_allocation applies, checked once per datum before any search:
+    # else zero replicas crash random_search, a negative size fits every cloud
+    # and prices below zero, and NaN turns into a counted Infeasible failure
+    t = make_topology(random.Random(3), 2, 4)
+    d = DataItem(7, size, 0, replicas)
+    with pytest.raises(ValueError, match=f"datum 7 needs >= 1 replica and a size >= 0, got {shown}"):
+        PlacementProblem(t, d, CostModel(t).objective(d))
+
+
 def feasible_by_property(t: Topology, size: float) -> tuple[int, ...]:
     return tuple(c.id for c in t.clouds if c.free_capacity >= size)
 

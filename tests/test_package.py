@@ -64,6 +64,23 @@ def test_only_the_cli_touches_the_garbage_collector():
     assert users == ["cli.py"]
 
 
+def test_the_package_reads_no_environment():
+    # seeds come from the flags or the scenario file, so the command line and
+    # the files it names are every input of a job
+    readers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if {"environ", "environb", "getenv", "getenvb"} & set(names):
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
+
+
 def test_each_file_format_has_one_writer():
     # every CSV goes through harness.csv_text and every JSON file through
     # model.json_text, so quoting and number formatting are decided once

@@ -170,18 +170,16 @@ def test_generated_link_rows_are_the_float_tuples_a_link_matrix_holds(rates):
 def test_workload_forced_and_empty():
     base = dict(num_gateways=2, num_clouds=4, timesteps=3)
     sure = ScenarioSpec(name="sure", arrival_probability=1.0, **base)
-    t = generate_topology(sure, random.Random(0))
-    items = generate_workload(sure, t, random.Random(1))
+    items = generate_workload(sure, random.Random(1))
     assert len(items) == 6
 
     never = ScenarioSpec(name="never", arrival_probability=0.0, **base)
-    assert generate_workload(never, t, random.Random(1)) == []
+    assert generate_workload(never, random.Random(1)) == []
 
 
 def test_workload_contents_and_order():
     spec = builtin_scenario(1)
-    t = generate_topology(spec, random.Random(3))
-    items = generate_workload(spec, t, random.Random(3))
+    items = generate_workload(spec, random.Random(3))
     assert items
     for i, d in enumerate(items):
         assert d.id == i
@@ -196,8 +194,7 @@ def test_workload_contents_and_order():
 
 def test_workload_count_matches_expectation():
     spec = builtin_scenario(1)
-    t = generate_topology(spec, random.Random(4))
-    items = generate_workload(spec, t, random.Random(4))
+    items = generate_workload(spec, random.Random(4))
     n = spec.timesteps * spec.num_gateways
     mean = n * spec.arrival_probability
     sigma = math.sqrt(n * spec.arrival_probability * (1 - spec.arrival_probability))
@@ -206,10 +203,7 @@ def test_workload_count_matches_expectation():
 
 def test_workload_determinism():
     spec = builtin_scenario(3)
-    t = generate_topology(spec, random.Random(9))
-    assert generate_workload(spec, t, random.Random(11)) == generate_workload(
-        spec, t, random.Random(11)
-    )
+    assert generate_workload(spec, random.Random(11)) == generate_workload(spec, random.Random(11))
 
 
 def test_workload_infeasible_policy():
