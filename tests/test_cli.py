@@ -152,9 +152,9 @@ def test_run_writes_one_report_per_seed(tmp_path):
     assert (out / "trial_tiny_hs_seed1.csv").read_bytes() == before
 
 
-def test_the_environment_names_no_seed(tmp_path, monkeypatch):
+def assert_env_seed_changes_nothing(tmp_path, monkeypatch, value):
     # seeds come from the flags or the scenario file, so a seed in the
-    # environment, valid or not, changes no exit code and no byte
+    # environment changes no exit code and no byte of generate, run or compare
     spec_path = tmp_path / "tiny.json"
     write_tiny_scenario(spec_path, seed=7)
     argvs = {
@@ -175,9 +175,16 @@ def test_the_environment_names_no_seed(tmp_path, monkeypatch):
     unset = outputs("unset")
     assert list(unset["run"]) == ["trial_tiny_hs_seed7.csv", "trial_tiny_hs_seed7.json",
                                   "trial_tiny_hs_seed8.csv", "trial_tiny_hs_seed8.json"]
-    for value in ("50", "seven"):
-        monkeypatch.setenv("REPLICA_HARMONY_SEED", value)
-        assert outputs(value) == unset
+    monkeypatch.setenv("REPLICA_HARMONY_SEED", value)
+    assert outputs("set") == unset
+
+
+def test_an_env_seed_changes_no_byte(tmp_path, monkeypatch):
+    assert_env_seed_changes_nothing(tmp_path, monkeypatch, "50")
+
+
+def test_a_non_integer_env_seed_is_not_an_error(tmp_path, monkeypatch):
+    assert_env_seed_changes_nothing(tmp_path, monkeypatch, "seven")
 
 
 def test_generate_seed_precedence_flag_spec(tmp_path):
