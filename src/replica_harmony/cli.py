@@ -22,7 +22,6 @@ import argparse
 import functools
 import gc
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .cost import EnergyParams
@@ -35,7 +34,6 @@ from .harness import (
     comparison_table,
     csv_text,
     draw_scenario,
-    field_values,
     report_from_csv,
     report_to_csv,
     seed_mean,
@@ -46,15 +44,13 @@ from .harness import (
 # perfbench/tracing.py looks up cli._run_many by name
 from .harness import run_grids as _run_many
 from .model import dataclass_from_json_text, json_doc, json_text, topology_to_json
+from .optimize import HMS
 from .scenario import ScenarioSpec, builtin_scenario
 
 EXIT_OK = 0
 EXIT_INTERNAL = 5
 # the error class behind each other exit code; any other exception is internal
 ERROR_EXITS = ((ConfigError, 2), (Infeasible, 3), ((MalformedInput, OSError), 4))
-
-# a comparison.csv row's cells after the scenario
-_row_values = field_values(ComparisonRow)
 
 # plot metric -> the TimestepRecord field its curve averages over seeds
 PLOT_FIELDS = {"cost": "mean_cost_s", "delay": "mean_delay_s", "energy": "energy_j"}
@@ -72,7 +68,7 @@ def resolve_scenario(source: str) -> ScenarioSpec:
 
 
 def _read_json(path: str, cls):
-    """The dataclass cls that a JSON input file holds; a ConfigError names the file."""
+    """The record cls that a JSON input file holds; a ConfigError names the file."""
     try:
         return dataclass_from_json_text(cls, Path(path).read_bytes())
     except ConfigError as exc:
@@ -193,14 +189,14 @@ def cmd_compare(args) -> int:
     plots = {}
     for (spec, seeds), slug, reports in zip(grids, slugs, _run_many(grids, args.algo, options, args.threads)):
         table = comparison_table(args.algo, seeds, reports)
-        comparison_rows += [(spec.name, *_row_values(row)) for row in table.rows]
+        comparison_rows += [(spec.name, *row) for row in table.rows]
         win_rows += [(spec.name, a, b, rate) for (a, b), rate in sorted(table.win_rates.items())]
         for metric in PLOT_FIELDS:
             plots[f"plot_{slug}_{metric}.csv"] = _plot_csv(reports, list(args.algo), seeds, metric)
 
     for name, text in plots.items():
         _write(out / name, text)
-    header = ("scenario", *(f.name for f in fields(ComparisonRow)))
+    header = ("scenario", *ComparisonRow._fields)
     _write(out / "comparison.csv", csv_text(header, comparison_rows))
     _write(out / "win_rates.csv", csv_text(("scenario", "algorithm_a", "algorithm_b", "win_rate"), win_rows))
     print(f"wrote comparison, win rates, and plot data to {out}")
@@ -268,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algo", action="append", choices=ALGORITHMS, help="repeatable")
         p.add_argument("--seeds", help="count (e.g. 30) or explicit comma list (e.g. 3,7,11)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--hms", type=int, default=TrialOptions.memory_size_hms, help="harmony memory size")
+        p.add_argument("--hms", type=int, default=HMS, help="harmony memory size")
         p.add_argument("--exercises", type=int, help="fixed exercises per datum")
         p.add_argument("--energy-params", help="JSON file with e_uplink/e_intercloud/e_write")
         p.add_argument(

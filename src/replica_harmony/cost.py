@@ -18,19 +18,17 @@ Access delay and energy are simpler artifact-defined models:
     energy       = L*e_uplink + (r-1)*L*e_intercloud + r*L*e_write
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .errors import ConfigError, InvalidAllocation
-from .model import AllocationVector, DataItem, Topology, check_allocation, check_distinct
+from .model import AllocationVector, DataItem, Topology, check_allocation, check_distinct, checked
 
 MS_PER_S = 1000.0
 
 
-@dataclass(frozen=True)
-class EnergyParams:
+@checked
+class EnergyParams(NamedTuple):
     """Per-byte energy coefficients, joules/byte."""
 
     e_uplink: float = 1.0e-6
@@ -42,8 +40,7 @@ class EnergyParams:
             raise ConfigError("energy coefficients must be >= 0")
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(NamedTuple):
     """Replication cost split by the winning entry cloud.
 
     per_candidate lists (cloud id, candidate total) for every entry
@@ -159,14 +156,9 @@ class CostModel:
             # max keeps the first largest, as a running max from 0.0 does
             prop = max([0.0] + [cloud_wait + prop_row[c2] * size for c2 in a.clouds if c2 != c])
             candidates.append((c, entry, prop, entry + prop))
+        # (entry_cloud, entry_cost, propagation_cost, total) of the first cheapest
         best = min(candidates, key=lambda item: item[3])
-        return CostBreakdown(
-            entry_cloud=best[0],
-            entry_cost=best[1],
-            propagation_cost=best[2],
-            total=best[3],
-            per_candidate=tuple((c, t) for c, _, _, t in candidates),
-        )
+        return CostBreakdown(*best, tuple((c, t) for c, _, _, t in candidates))
 
     def best_allocation(
         self, d: DataItem, feasible: tuple[int, ...], r: int

@@ -16,8 +16,6 @@ Baselines are budget-matched: a datum allowing E exercises grants every
 algorithm HMS + E objective evaluations.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import json
@@ -25,14 +23,14 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field, fields
 from functools import cached_property, partial, reduce
 from operator import add, attrgetter, itemgetter
 from statistics import mean, pstdev
+from typing import NamedTuple
 
 from .cost import CostModel, EnergyParams, placement_energy
 from .errors import ConfigError, Infeasible, MalformedInput
-from .model import AllocationVector, DataItem, Topology, commit_placement, json_doc, json_text
+from .model import AllocationVector, DataItem, Topology, checked, commit_placement, json_doc, json_text
 from .optimize import (
     HMS,
     OptResult,
@@ -48,8 +46,7 @@ from .seeding import derive_seed
 ALGORITHMS = ("hs", "random", "ga", "foa", "exhaustive")
 
 
-@dataclass(frozen=True)
-class TimestepRecord:
+class TimestepRecord(NamedTuple):
     timestep: int
     mean_cost_s: float
     mean_delay_s: float
@@ -58,21 +55,11 @@ class TimestepRecord:
     failures: int
 
 
-def field_values(cls) -> attrgetter:
-    """A function from a cls instance to its field values in field order;
-    it reads each field once, where dataclasses.astuple deep-copies them."""
-    return attrgetter(*(f.name for f in fields(cls)))
+# a trial CSV row: the timestep, the trial it belongs to, then the rest of the record
+CSV_HEADER = ("timestep", "scenario", "algorithm", "seed", *TimestepRecord._fields[1:])
 
 
-# a trial CSV row: the timestep, the trial it belongs to, then the record
-CSV_HEADER = (
-    "timestep", "scenario", "algorithm", "seed", *(f.name for f in fields(TimestepRecord)[1:])
-)
-_record_values = field_values(TimestepRecord)
-
-
-@dataclass(frozen=True)
-class RunTotals:
+class RunTotals(NamedTuple):
     mean_cost_s: float
     mean_delay_s: float
     energy_j: float
@@ -80,8 +67,7 @@ class RunTotals:
     failures: int
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     scenario: str
     algorithm: str
     seed: int
@@ -108,11 +94,11 @@ def recompute_totals(series) -> RunTotals:
     )
 
 
-@dataclass(frozen=True)
-class TrialOptions:
+@checked
+class TrialOptions(NamedTuple):
     memory_size_hms: int = HMS
     exercises: int | None = None  # fixed count; None draws per datum from the spec range
-    energy: EnergyParams = field(default_factory=EnergyParams)
+    energy: EnergyParams = EnergyParams()
 
     def __post_init__(self):
         if self.memory_size_hms < 2:
@@ -121,7 +107,6 @@ class TrialOptions:
             raise ConfigError("exercises must be >= 1")
 
 
-@dataclass(frozen=True)
 class Experiment:
     """What (spec, root_seed) fixes for every algorithm.
 
@@ -129,14 +114,25 @@ class Experiment:
     position in the workload. The exercise counts are drawn on first use,
     so a run that never reads one (exhaustive, or a fixed
     TrialOptions.exercises used in place of the drawn count) draws none.
+    Two experiments are equal when their inputs are: the model is a
+    function of the topology, and the exercises of the spec and seed.
     """
 
-    spec: ScenarioSpec
-    root_seed: int
-    topology: Topology
-    workload: tuple[DataItem, ...]
-    model: CostModel = field(compare=False)  # a function of the topology
-    requesters: tuple[int, ...]
+    _inputs = attrgetter("spec", "root_seed", "topology", "workload", "requesters")
+
+    def __init__(self, spec: ScenarioSpec, root_seed: int, topology: Topology,
+                 workload: tuple[DataItem, ...], model: CostModel, requesters: tuple[int, ...]):
+        self.spec = spec
+        self.root_seed = root_seed
+        self.topology = topology
+        self.workload = workload
+        self.model = model
+        self.requesters = requesters
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._inputs(self) == self._inputs(other)
 
     @cached_property
     def exercises(self) -> tuple[int, ...]:
@@ -167,8 +163,7 @@ def build_experiment(spec: ScenarioSpec, root_seed: int) -> Experiment:
     return Experiment(spec, root_seed, topology, workload, model, requesters)
 
 
-@dataclass(frozen=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     report: RunReport
     final_topology: Topology
     placements: tuple[tuple[DataItem, AllocationVector | None], ...]
@@ -253,16 +248,9 @@ def run_trial_detailed(
                 placed += 1
                 placements.append((datum, result.best))
             index += 1
-        series.append(
-            TimestepRecord(
-                timestep=timestep,
-                mean_cost_s=cost_sum / placed if placed else 0.0,
-                mean_delay_s=delay_sum / placed if placed else 0.0,
-                energy_j=energy_sum,
-                placed=placed,
-                failures=failures,
-            )
-        )
+        mean_cost = cost_sum / placed if placed else 0.0
+        mean_delay = delay_sum / placed if placed else 0.0
+        series.append(TimestepRecord(timestep, mean_cost, mean_delay, energy_sum, placed, failures))
 
     report = RunReport(
         scenario=spec.name,
@@ -284,8 +272,7 @@ def run_trial(
     return run_trial_detailed(spec, algorithm, root_seed, options, experiment).report
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     algorithm: str
     mean_cost_s: float
     std_cost_s: float
@@ -297,8 +284,7 @@ class ComparisonRow:
     failures: int
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
     rows: tuple[ComparisonRow, ...]
     # (a, b) -> fraction of paired seeds where a's total mean cost beats b's;
     # ties count 0.5
@@ -559,7 +545,7 @@ def csv_text(header, rows) -> str:
 
 def report_to_csv(report: RunReport) -> str:
     trial = (report.scenario, report.algorithm, report.seed)
-    return csv_text(CSV_HEADER, ((rec.timestep, *trial, *_record_values(rec)[1:]) for rec in report.series))
+    return csv_text(CSV_HEADER, ((rec.timestep, *trial, *rec[1:]) for rec in report.series))
 
 
 def _check_amount(where: str, value) -> None:
@@ -591,8 +577,8 @@ def report_from_csv(text: str) -> RunReport:
             record = TimestepRecord(int(row[0]), *map(float, row[4:7]), int(row[7]), int(row[8]))
         except ValueError as exc:
             raise MalformedInput(f"line {line}: {exc}") from None
-        for f, value in zip(fields(record), _record_values(record)):
-            _check_amount(f"line {line} {f.name}", value)
+        for name, value in zip(TimestepRecord._fields, record):
+            _check_amount(f"line {line} {name}", value)
         series.append(record)
     if [rec.timestep for rec in series] != list(range(1, len(series) + 1)):
         raise MalformedInput("timesteps do not run 1..T in order")

@@ -7,49 +7,72 @@ matching the JSON wire format exactly so that serialization round-trips are
 bit-lossless; the cost module converts to seconds where it evaluates delays.
 Waiting times are plain seconds, capacities bytes, transfer rates bytes/s.
 
+Every record but AllocationVector is a NamedTuple. Those whose fields are
+checked or normalized are made ``checked``: their constructor, and so ``_make`` and
+``_replace``, runs the class's ``__post_init__`` on each new instance.
+No module that defines records postpones its annotations: NamedTuple would
+compile each field's annotation string as the module is imported.
+
 Every JSON file the package reads or writes goes through one codec:
-``dataclass_from_json`` reads a dataclass, checked key by key (every
-reader of JSON text goes through ``dataclass_from_json_text``), and
-``json_doc`` plus ``json_text`` write one. A field's JSON key is its name
-unless its metadata declares another under "json": the keys of fields
-whose names lack their unit, such as the per-byte delays.
+``dataclass_from_json`` reads a record, checked key by key (every reader
+of JSON text goes through ``dataclass_from_json_text``), and ``json_doc``
+plus ``json_text`` write one. A field's JSON key is its name unless
+``JSON_KEYS`` maps the name to another: the keys of fields whose names
+lack their unit, such as the per-byte delays.
 """
 
-from __future__ import annotations
-
-import dataclasses
 import json
 import sys
 import typing
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import CapacityExceeded, ConfigError, InvalidAllocation
 
+# field name -> JSON key, for the fields whose names lack their unit
+JSON_KEYS = {
+    "read_delay_ms": "read_delay_ms_per_byte",  # gateways and clouds share it
+    "write_delay_ms": "write_delay_ms_per_byte",
+    "total_capacity": "total_capacity_bytes",
+    "used_capacity": "used_capacity_bytes",
+    "size": "size_bytes",
+}
 
-# gateways and clouds share one JSON key for the per-byte read delay
-_READ_DELAY = {"json": "read_delay_ms_per_byte"}
+
+def checked(cls):
+    """The NamedTuple cls, its constructor made to run cls.__post_init__ on
+    each instance it builds: that raises for a bad field, or returns
+    {field: normalized value}. _make, and so _replace, builds through it."""
+    build = cls.__new__
+
+    def __new__(klass, *args, **kwargs):
+        record = build(klass, *args, **kwargs)
+        normalized = record.__post_init__()
+        if normalized:
+            record = tuple.__new__(klass, [normalized.get(name, v) for name, v in zip(cls._fields, record)])
+        return record
+
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda klass, values: klass(*values))
+    return cls
 
 
-@dataclass(frozen=True)
-class Gateway:
+class Gateway(NamedTuple):
     """IoT ingress point with a per-byte read delay and a base waiting time."""
 
     id: int
-    read_delay_ms: float = field(metadata=_READ_DELAY)
+    read_delay_ms: float
     waiting_time_s: float
 
 
-@dataclass(frozen=True)
-class MiniCloud:
+class MiniCloud(NamedTuple):
     """Replica storage site: per-byte write/read delays, waiting time, capacity."""
 
     id: int
-    write_delay_ms: float = field(metadata={"json": "write_delay_ms_per_byte"})
-    read_delay_ms: float = field(metadata=_READ_DELAY)
+    write_delay_ms: float
+    read_delay_ms: float
     waiting_time_s: float
-    total_capacity: float = field(metadata={"json": "total_capacity_bytes"})
-    used_capacity: float = field(default=0.0, metadata={"json": "used_capacity_bytes"})
+    total_capacity: float
+    used_capacity: float = 0.0
 
     @property
     def free_capacity(self) -> float:
@@ -60,8 +83,8 @@ def _freeze_matrix(rows) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(map(float, row)) for row in rows)
 
 
-@dataclass(frozen=True)
-class LinkMatrix:
+@checked
+class LinkMatrix(NamedTuple):
     """Transfer rates in bytes/second.
 
     ``gw_to_cloud[g][c]`` is the gateway-to-cloud uplink rate and
@@ -74,32 +97,28 @@ class LinkMatrix:
     cloud_to_cloud: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "gw_to_cloud", _freeze_matrix(self.gw_to_cloud))
-        object.__setattr__(self, "cloud_to_cloud", _freeze_matrix(self.cloud_to_cloud))
+        return {"gw_to_cloud": _freeze_matrix(self.gw_to_cloud),
+                "cloud_to_cloud": _freeze_matrix(self.cloud_to_cloud)}
 
     @classmethod
-    def unchecked(cls, gw_to_cloud, cloud_to_cloud) -> LinkMatrix:
+    def unchecked(cls, gw_to_cloud, cloud_to_cloud) -> "LinkMatrix":
         """The rows as given, not copied: generate_topology draws them as
         tuples of floats, which __post_init__ would only copy again."""
-        links = object.__new__(cls)
-        object.__setattr__(links, "gw_to_cloud", gw_to_cloud)
-        object.__setattr__(links, "cloud_to_cloud", cloud_to_cloud)
-        return links
+        return tuple.__new__(cls, (gw_to_cloud, cloud_to_cloud))
 
 
-@dataclass(frozen=True)
-class DataItem:
+class DataItem(NamedTuple):
     """One IoT datum arriving at a gateway, to be replicated ``replica_count`` times."""
 
     id: int
-    size: float = field(metadata={"json": "size_bytes"})
+    size: float
     source_gateway: int
     replica_count: int
     arrival_timestep: int = 0
 
 
-@dataclass(frozen=True)
-class Policy:
+@checked
+class Policy(NamedTuple):
     """Replica-count rule: each datum gets a count in [min_replicas, max_replicas]."""
 
     min_replicas: int
@@ -113,11 +132,16 @@ class Policy:
             )
 
 
-@dataclass(frozen=True, slots=True)
 class AllocationVector:
-    """Duplicate-free sequence of mini-cloud ids, one entry per replica."""
+    """Duplicate-free sequence of mini-cloud ids, one entry per replica,
+    equal, hashed and shown by its ids. Not a NamedTuple: its length and
+    iteration are those of the ids, which pickle and _asdict would misread."""
 
-    clouds: tuple[int, ...]
+    __slots__ = ("clouds",)
+
+    def __init__(self, clouds: tuple[int, ...]):
+        object.__setattr__(self, "clouds", clouds)
+        self.__post_init__()
 
     def __post_init__(self):
         clouds = tuple(self.clouds)
@@ -130,12 +154,27 @@ class AllocationVector:
         check_distinct(clouds)
 
     @classmethod
-    def unchecked(cls, clouds: tuple[int, ...]) -> AllocationVector:
+    def unchecked(cls, clouds: tuple[int, ...]) -> "AllocationVector":
         """clouds as given, unchecked: the optimizers' and best_allocation's ids are distinct
         in-range ints by construction or check, and commit_placement checks the one placed."""
         vector = object.__new__(cls)
         object.__setattr__(vector, "clouds", clouds)
         return vector
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.clouds,)
+
+    def __eq__(self, other):
+        return self.clouds == other.clouds if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.clouds)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(clouds={self.clouds!r})"
 
     def __len__(self) -> int:
         return len(self.clouds)
@@ -144,8 +183,8 @@ class AllocationVector:
         return iter(self.clouds)
 
 
-@dataclass(frozen=True)
-class Topology:
+@checked
+class Topology(NamedTuple):
     """Immutable system state; capacity updates produce a new value."""
 
     gateways: tuple[Gateway, ...]
@@ -153,8 +192,7 @@ class Topology:
     links: LinkMatrix
 
     def __post_init__(self):
-        object.__setattr__(self, "gateways", tuple(self.gateways))
-        object.__setattr__(self, "clouds", tuple(self.clouds))
+        return {"gateways": tuple(self.gateways), "clouds": tuple(self.clouds)}
 
     @property
     def num_gateways(self) -> int:
@@ -248,37 +286,27 @@ def commit_placement(t: Topology, d: DataItem, a: AllocationVector) -> Topology:
             raise CapacityExceeded(c)
     for c in a.clouds:
         old = clouds[c]
-        clouds[c] = MiniCloud(
-            old.id,
-            old.write_delay_ms,
-            old.read_delay_ms,
-            old.waiting_time_s,
-            old.total_capacity,
-            old.used_capacity + d.size,
-        )
+        clouds[c] = MiniCloud(*old[:5], old.used_capacity + d.size)
     return Topology(t.gateways, tuple(clouds), t.links)
 
 
 # --- JSON (de)serialization ------------------------------------------------
 
-# what each non-dataclass field type accepts, for the error message
+# what each non-record field type accepts, for the error message
 _EXPECTED = {int: "an integer within float range", float: "a finite number", str: "a string"}
-# dataclass -> (JSON key -> (field name, resolved type), required JSON keys), built on first use
+# record class -> (JSON key -> (field name, resolved type), required JSON keys), built on first use
 _FIELDS: dict[type, tuple[dict, set]] = {}
 
 
-def _json_key(f: dataclasses.Field) -> str:
-    return f.metadata.get("json", f.name)
-
-
 def dataclass_from_json(cls, doc, prefix: str = ""):
-    """An instance of the dataclass cls from a JSON object, checked key by key.
+    """An instance of the record (NamedTuple) class cls from a JSON object,
+    checked key by key, under the keys json_doc writes.
 
     Unknown keys, missing required keys, and values whose JSON type does
     not fit the field are ConfigErrors naming the key: int fields take
     integral and float fields any numbers within a float's range, tuple[X, X]
     fields lists of that length, tuple[X, ...] fields lists of any length
-    (elements named by index, as in clouds[1].id), dataclass fields nested
+    (elements named by index, as in clouds[1].id), record fields nested
     objects; a bool or a string is never a number. Missing optional keys
     take the field defaults.
     """
@@ -286,10 +314,8 @@ def dataclass_from_json(cls, doc, prefix: str = ""):
         raise ConfigError(f"{prefix[:-1] or 'document'} must be a JSON object, got {doc!r:.60}")
     if cls not in _FIELDS:
         hints = typing.get_type_hints(cls)
-        fields = dataclasses.fields(cls)
-        required = {_json_key(f) for f in fields
-                    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
-        _FIELDS[cls] = ({_json_key(f): (f.name, hints[f.name]) for f in fields}, required)
+        keys = {JSON_KEYS.get(name, name): (name, hints[name]) for name in cls._fields}
+        _FIELDS[cls] = (keys, {key for key, (name, _) in keys.items() if name not in cls._field_defaults})
     keys, required = _FIELDS[cls]
     unknown = sorted(set(doc) - set(keys))
     if unknown:
@@ -305,7 +331,7 @@ def dataclass_from_json(cls, doc, prefix: str = ""):
 
 
 def _field_value(hint, value, key: str):
-    if dataclasses.is_dataclass(hint):
+    if hasattr(hint, "_fields"):
         return dataclass_from_json(hint, value, key + ".")
     if typing.get_origin(hint) is tuple:
         items = typing.get_args(hint)
@@ -336,10 +362,10 @@ def dataclass_from_json_text(cls, text: str | bytes):
 
 
 def json_doc(value):
-    """The JSON form of value: a dataclass as an object under its fields'
-    JSON keys, a tuple or list as a list, anything else as it is."""
-    if dataclasses.is_dataclass(value):
-        return {_json_key(f): json_doc(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    """The JSON form of value: a record (a NamedTuple) as an object under
+    its fields' JSON keys, a tuple or list as a list, anything else as it is."""
+    if hasattr(value, "_fields"):
+        return {JSON_KEYS.get(name, name): json_doc(v) for name, v in zip(value._fields, value)}
     if isinstance(value, (tuple, list)):
         return [json_doc(v) for v in value]
     return value

@@ -15,12 +15,9 @@ The canonical memory-consideration/pitch-adjustment formulation is not
 used here.
 """
 
-from __future__ import annotations
-
 import bisect
 import functools
 import random
-from dataclasses import dataclass
 from itertools import accumulate, combinations
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
@@ -75,8 +72,7 @@ _by_cost = attrgetter("cost")
 HMS = 10
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(NamedTuple):
     best: AllocationVector
     best_cost: float
     trace: tuple[float, ...]
@@ -309,11 +305,13 @@ def _tournament(population: Sequence[Harmony], rng: random.Random) -> Harmony:
     return population[i] if population[i].cost <= population[j].cost else population[j]
 
 
-@dataclass
 class _Tree:
-    vector: AllocationVector
-    cost: float
-    age: int = 0
+    __slots__ = ("vector", "cost", "age")
+
+    def __init__(self, vector: AllocationVector, cost: float):
+        self.vector = vector
+        self.cost = cost
+        self.age = 0
 
 
 def foa_optimize(problem: PlacementProblem, budget: int, rng: random.Random) -> OptResult:

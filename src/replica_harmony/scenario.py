@@ -16,21 +16,19 @@ They are drawn into tuples of floats, which LinkMatrix.unchecked keeps
 without the float() copy a LinkMatrix built from caller rows makes.
 """
 
-# No `from __future__ import annotations` here: ScenarioSpec's field types
-# stay objects, so the JSON reader resolves them without compiling strings.
 import math
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConfigError, Infeasible
-from .model import DataItem, Gateway, LinkMatrix, MiniCloud, Policy, Topology
+from .model import DataItem, Gateway, LinkMatrix, MiniCloud, Policy, Topology, checked
 from .model import dataclass_from_json_text, json_doc, json_text
 
 BUILTIN_SIZES = {1: (22, 8), 2: (25, 10), 3: (32, 15), 4: (40, 25)}
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+@checked
+class ScenarioSpec(NamedTuple):
     """A scenario, checked where it is built or read: ConfigError for a bad field, Infeasible for too few clouds."""
 
     name: str
@@ -45,7 +43,7 @@ class ScenarioSpec:
     cloud_rate_range_bytes_per_s: tuple[float, float] = (500.0, 5000.0)
     capacity_range_bytes: tuple[float, float] = (50_000.0, 200_000.0)
     waiting_time_range_s: tuple[float, float] = (0.1, 1.0)
-    policy: Policy = field(default_factory=lambda: Policy(2, 4))
+    policy: Policy = Policy(2, 4)
     seed: int = 0
 
     def __post_init__(self):
@@ -56,9 +54,10 @@ class ScenarioSpec:
         # gets at least one exercise; sizes, delays and waits are amounts
         positive = ("exercises_range", "gw_rate_range_bytes_per_s", "cloud_rate_range_bytes_per_s",
                     "capacity_range_bytes")
+        ranges = {}
         for name in positive + ("data_size_range_bytes", "rw_delay_range_ms_per_byte", "waiting_time_range_s"):
             lo, hi = getattr(self, name)
-            object.__setattr__(self, name, (lo, hi))
+            ranges[name] = (lo, hi)
             if lo > hi:
                 raise ConfigError(f"{name} is empty: [{lo}, {hi}]")
             if name in positive and not lo > 0:
@@ -82,6 +81,7 @@ class ScenarioSpec:
         if self.policy.min_replicas > self.num_clouds:
             raise Infeasible(f"scenario {self.name!r}: policy needs {self.policy.min_replicas} replicas "
                              f"but there are only {self.num_clouds} clouds")
+        return ranges
 
 
 def builtin_scenario(k: int) -> ScenarioSpec:

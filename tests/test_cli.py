@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -212,7 +211,7 @@ def test_run_and_compare_seed_precedence_spec(tmp_path):
     assert trial_csvs("count", "--seeds", "2") == ["trial_tiny_hs_seed7.csv", "trial_tiny_hs_seed8.csv"]
 
     # compare takes each scenario's own seed
-    other = dataclasses.replace(builtin_scenario(1), name="other", timesteps=5)
+    other = builtin_scenario(1)._replace(name="other", timesteps=5)
     other_path = tmp_path / "other.json"
     other_path.write_text(scenario_to_json(other))
     out = tmp_path / "cmp"
@@ -716,7 +715,7 @@ EXHAUSTIVE_DIGESTS = {
 
 def test_run_exhaustive_output_digests(tmp_path):
     spec_path = tmp_path / "builtin2.json"
-    spec_path.write_text(scenario_to_json(dataclasses.replace(builtin_scenario(2), timesteps=20)))
+    spec_path.write_text(scenario_to_json(builtin_scenario(2)._replace(timesteps=20)))
     out = tmp_path / "runs"
     assert main(["run", "--scenario", str(spec_path), "--algo", "exhaustive", "--seeds", "2",
                  "--out", str(out)]) == 0
@@ -766,7 +765,7 @@ def _output_digests(tmp_path, spec_text, argv):
 @pytest.mark.parametrize(
     "spec_text, digests",
     [
-        (scenario_to_json(dataclasses.replace(builtin_scenario(1), timesteps=20)), COMPARE_DIGESTS),
+        (scenario_to_json(builtin_scenario(1)._replace(timesteps=20)), COMPARE_DIGESTS),
         (json.dumps(TIGHT_SPEC), TIGHT_DIGESTS),
     ],
     ids=["builtin1", "tight"],
@@ -777,7 +776,7 @@ def test_compare_output_digests(tmp_path, spec_text, digests):
 
 
 def test_run_fixed_exercises_output_digests(tmp_path):
-    spec_text = scenario_to_json(dataclasses.replace(builtin_scenario(2), timesteps=20))
+    spec_text = scenario_to_json(builtin_scenario(2)._replace(timesteps=20))
     argv = ["run", "--algo", "hs", "--algo", "foa", "--exercises", "3", "--seeds", "2"]
     assert _output_digests(tmp_path, spec_text, argv) == FIXED_EXERCISE_DIGESTS
 
@@ -1193,7 +1192,7 @@ codes, frozen = [], [gc.get_freeze_count()]
 for argv in sys.argv[2:]:
     codes.append(cli.main(json.loads(argv)))
     frozen.append(gc.get_freeze_count())
-watched = ("_hashlib", "ssl", "pickle", "threading")
+watched = ("_hashlib", "ssl", "pickle", "threading", "dataclasses", "inspect")
 print(json.dumps({"codes": codes, "loaded": [m for m in watched if m in sys.modules],
                   "forks": len(forks), "frozen": frozen}))
 """
@@ -1232,6 +1231,14 @@ def test_run_and_compare_never_load_openssl(tmp_path):
     # what the first job left alive.
     startup, first, second = frozen
     assert startup < first and second <= first, frozen
+
+
+def test_run_and_compare_never_load_dataclasses_or_inspect(tmp_path):
+    # every record is a NamedTuple, so no job pays for building dataclasses
+    # or for importing dataclasses and the inspect, ast and dis it pulls in
+    result = run_probe(tmp_path, probe_argvs(tmp_path))
+    assert result["codes"] == [0, 0]
+    assert "dataclasses" not in result["loaded"] and "inspect" not in result["loaded"]
 
 
 def test_serial_run_and_compare_never_fork_or_import_pickle(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -84,7 +83,7 @@ def zero_wait_topology(rng: random.Random, num_gateways: int, num_clouds: int) -
     zero-size datum propagates at cost 0.0, so candidate totals tie."""
     t = tie_heavy_topology(rng, num_gateways, num_clouds)
     clouds = tuple(
-        dataclasses.replace(c, waiting_time_s=rng.choice((0.0, c.waiting_time_s))) for c in t.clouds
+        c._replace(waiting_time_s=rng.choice((0.0, c.waiting_time_s))) for c in t.clouds
     )
     return Topology(t.gateways, clouds, t.links)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import os
@@ -564,7 +563,7 @@ def test_check_totals_rejects_tampered_totals():
     tampers = [{"mean_cost_s": cost + 1.0}, {"mean_cost_s": cost * (1 + 1e-10)}]
     tampers.append({"placed": report.totals.placed + 1})
     for change in tampers:
-        tampered = dataclasses.replace(report, totals=dataclasses.replace(report.totals, **change))
+        tampered = report._replace(totals=report.totals._replace(**change))
         with pytest.raises(MalformedInput, match="not the summary run writes"):
             check_summary(report, json_text(totals_to_dict(tampered)))
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 
@@ -82,8 +81,7 @@ def test_validate_topology_flags_violations():
 
 
 def test_validate_topology_flags_shape_mismatch(example_topology):
-    bad = dataclasses.replace(
-        example_topology,
+    bad = example_topology._replace(
         links=LinkMatrix(gw_to_cloud=[[1000.0]], cloud_to_cloud=[[0.0]]),
     )
     problems = validate_topology(bad)
@@ -101,11 +99,10 @@ def test_commit_placement_is_functional(example_topology):
 
 
 def test_commit_placement_all_or_nothing(example_topology):
-    tight = dataclasses.replace(
-        example_topology,
+    tight = example_topology._replace(
         clouds=(
             example_topology.clouds[0],
-            dataclasses.replace(example_topology.clouds[1], total_capacity=50.0),
+            example_topology.clouds[1]._replace(total_capacity=50.0),
         ),
     )
     datum = DataItem(0, 100.0, 0, 2)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import math
@@ -84,11 +83,7 @@ def test_placement_problem_feasibility():
 def test_placement_problem_excludes_full_clouds():
     rng = random.Random(2)
     t = make_topology(rng, 2, 4, capacity=(100.0, 100.0))
-    import dataclasses
-
-    crowded = dataclasses.replace(
-        t, clouds=(dataclasses.replace(t.clouds[0], used_capacity=90.0),) + t.clouds[1:]
-    )
+    crowded = t._replace(clouds=(t.clouds[0]._replace(used_capacity=90.0),) + t.clouds[1:])
     d = DataItem(0, 50.0, 0, 2)
     problem = PlacementProblem(crowded, d, CostModel(crowded).objective(d))
     assert problem.feasible_clouds == (1, 2, 3)
@@ -204,12 +199,12 @@ def gapped_problem(num_clouds: int, full: int, replicas: int) -> PlacementProble
     rng = random.Random(num_clouds)
     t = make_topology(rng, 3, num_clouds)
     clouds = tuple(
-        dataclasses.replace(c, used_capacity=c.total_capacity)
+        c._replace(used_capacity=c.total_capacity)
         if c.id % 3 == 1 and c.id < 3 * full
         else c
         for c in t.clouds
     )
-    t = dataclasses.replace(t, clouds=clouds)
+    t = t._replace(clouds=clouds)
     d = DataItem(0, 50.0, 1, replicas)
     return PlacementProblem(t, d, CostModel(t).objective(d))
 

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import replica_harmony
 from replica_harmony import errors
-from replica_harmony.harness import ALGORITHMS
+from replica_harmony.cost import EnergyParams
+from replica_harmony.harness import ALGORITHMS, TrialOptions, build_experiment, run_trial
+from replica_harmony.model import AllocationVector, LinkMatrix, Policy
+from replica_harmony.scenario import builtin_scenario
 
 PACKAGE_DIR = Path(replica_harmony.__file__).parent
 
@@ -31,6 +34,24 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in stdlib:
                     outside.append(f"{path.name}:{node.lineno} imports {name}")
     assert outside == []
+
+
+def test_no_module_imports_dataclasses():
+    # every record is a NamedTuple: importing dataclasses, with the inspect,
+    # ast and dis it imports, and building records through it took about 40%
+    # of the time every job spends importing the package
+    importers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if "dataclasses" in names:
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
 
 
 def test_only_config_errors_exit_2():
@@ -132,7 +153,7 @@ def test_heuristics_draw_only_from_the_stream_they_are_passed():
 
 
 def test_unit_bearing_json_keys_are_declared_once():
-    # a field whose name lacks its unit declares its JSON key in its metadata,
+    # a field whose name lacks its unit has its JSON key in model.JSON_KEYS,
     # and the codec in model.py reads and writes every file by that one spelling
     source = "".join(path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py")))
     keys = ("read_delay_ms_per_byte", "write_delay_ms_per_byte", "total_capacity_bytes", "used_capacity_bytes")
@@ -172,3 +193,16 @@ def test_every_error_survives_pickling():
         assert type(copy) is type(exc)
         assert repr(copy) == repr(exc) and str(copy) == str(exc)
         assert vars(copy) == vars(exc)
+
+
+def test_records_survive_pickling():
+    # a fan-out worker sends its reports by pickle, and a record that checks
+    # its fields rebuilds through its constructor
+    spec = builtin_scenario(1)._replace(timesteps=3)
+    experiment = build_experiment(spec, 0)
+    samples = [spec, Policy(1, 3), EnergyParams(e_write=0.0), TrialOptions(exercises=3),
+               experiment.topology, experiment.topology.links, LinkMatrix(((1, 2),), ((0,),)),
+               AllocationVector((2, 0)), run_trial(spec, "hs", 0)]
+    for record in samples:
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and copy == record and repr(copy) == repr(record)

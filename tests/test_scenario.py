@@ -58,6 +58,20 @@ def test_spec_validation():
         ScenarioSpec(name="x", num_gateways=1, num_clouds=1, timesteps=0)
 
 
+def test_replace_checks_and_normalizes_like_the_constructor():
+    # _replace builds through the constructor, as dataclasses.replace went
+    # through __init__: a copy is checked, and its ranges are stored as tuples
+    spec = builtin_scenario(1)
+    with pytest.raises(ConfigError, match="timesteps must be >= 1"):
+        spec._replace(timesteps=0)
+    with pytest.raises(Infeasible):
+        spec._replace(num_clouds=1)
+    widened = spec._replace(capacity_range_bytes=[1.0, 2.0])
+    assert type(widened.capacity_range_bytes) is tuple and widened.capacity_range_bytes == (1.0, 2.0)
+    assert type(widened) is ScenarioSpec and widened._replace(capacity_range_bytes=(1.0, 2.0)) == widened
+    assert ScenarioSpec._make(spec) == spec
+
+
 def test_generate_topology_deterministic_and_valid():
     spec = builtin_scenario(1)
     first = generate_topology(spec, random.Random(42))
