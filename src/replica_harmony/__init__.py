@@ -35,9 +35,7 @@ from .model import (
     Policy,
     Topology,
     commit_placement,
-    topology_from_json,
     topology_to_json,
-    validate_topology,
 )
 from .optimize import (
     Harmony,
@@ -55,7 +53,6 @@ from .scenario import (
     builtin_scenario,
     generate_topology,
     generate_workload,
-    scenario_from_json,
     scenario_to_json,
 )
 from .seeding import derive_seed

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import ConfigError, Infeasible
 from .model import DataItem, Gateway, LinkMatrix, MiniCloud, Policy, Topology, checked
-from .model import dataclass_from_json_text, json_doc, json_text
+from .model import json_doc, json_text
 
 BUILTIN_SIZES = {1: (22, 8), 2: (25, 10), 3: (32, 15), 4: (40, 25)}
 
@@ -152,7 +152,3 @@ def generate_workload(spec: ScenarioSpec, rng: random.Random) -> list[DataItem]:
 
 def scenario_to_json(spec: ScenarioSpec) -> str:
     return json_text(json_doc(spec))
-
-
-def scenario_from_json(text: str) -> ScenarioSpec:
-    return dataclass_from_json_text(ScenarioSpec, text)

@@ -14,7 +14,7 @@ import pytest
 from replica_harmony.cli import main
 from replica_harmony.cost import CostModel, placement_energy
 from replica_harmony.harness import compare_algorithms, run_trial_detailed
-from replica_harmony.model import AllocationVector, DataItem, validate_topology
+from replica_harmony.model import AllocationVector, DataItem
 from replica_harmony.optimize import (
     PlacementProblem,
     exhaustive_best,
@@ -26,6 +26,7 @@ from replica_harmony.optimize import (
 from replica_harmony.scenario import builtin_scenario
 
 from conftest import make_topology
+from reference import validate_topology
 from test_cost import naive_replication_cost, random_instance
 
 

@@ -36,19 +36,19 @@ from replica_harmony.harness import (
 from replica_harmony.model import (
     AllocationVector,
     Policy,
+    Topology,
+    dataclass_from_json_text,
     json_doc,
-    topology_from_json,
     topology_to_json,
-    validate_topology,
 )
 from replica_harmony.optimize import OptResult
 from replica_harmony.scenario import (
     ScenarioSpec,
     builtin_scenario,
-    scenario_from_json,
     scenario_to_json,
 )
 
+from reference import validate_topology
 from test_harness import TWO, assert_no_child_left, counting_forks
 
 
@@ -79,7 +79,7 @@ def test_generate_writes_deterministic_files(tmp_path):
     work_path = out / "workload_builtin-1_seed7.json"
     assert topo_path.exists() and work_path.exists()
 
-    topology = topology_from_json(topo_path.read_text())
+    topology = dataclass_from_json_text(Topology, topo_path.read_text())
     assert validate_topology(topology) == []
     assert topology.num_gateways == 22
 
@@ -219,7 +219,7 @@ def test_run_and_compare_seed_precedence_spec(tmp_path):
                  "--algo", "hs", "--algo", "random", "--out", str(out)]) == 0
     rows = {tuple(line.split(",")[:2]): line.split(",")[2]
             for line in (out / "comparison.csv").read_text().splitlines()[1:]}
-    tiny = scenario_from_json(spec_path.read_text())
+    tiny = dataclass_from_json_text(ScenarioSpec, spec_path.read_text())
     assert rows[("tiny", "hs")] == repr(run_trial(tiny, "hs", 7).totals.mean_cost_s)
     assert rows[("other", "hs")] == repr(run_trial(other, "hs", 0).totals.mean_cost_s)
 
@@ -723,6 +723,48 @@ def test_run_exhaustive_output_digests(tmp_path):
     assert digests == EXHAUSTIVE_DIGESTS
 
 
+def cpythons() -> dict[str, str]:
+    """{version: executable}: the running interpreter, and each CPython 3.11-3.13
+    found as python3.1x on PATH or as versions/*/bin/python under $PYENV_ROOT
+    (default ~/.pyenv). One that cannot report its version is not counted."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    candidates = [Path(d) / f"python3.{minor}" for d in os.get_exec_path() for minor in (11, 12, 13)]
+    candidates += sorted(root.glob("versions/*/bin/python"))
+    found = {"%d.%d.%d" % sys.version_info[:3]: sys.executable}
+    for exe in dict.fromkeys(str(path.resolve()) for path in candidates if path.is_file()):
+        try:
+            probe = subprocess.run([exe, "-c", "import sys; print(sys.implementation.name, *sys.version_info[:3])"],
+                                   capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        name, major, minor, micro = (probe.stdout.split() + [""] * 4)[:4]
+        if probe.returncode == 0 and name == "cpython" and (major, minor) in (("3", "11"), ("3", "12"), ("3", "13")):
+            found.setdefault(f"{major}.{minor}.{micro}", exe)
+    return found
+
+
+def test_exhaustive_output_digests_under_every_cpython(tmp_path):
+    # the golden command as a fresh process under each interpreter found, with no bytecode written
+    spec_path = tmp_path / "builtin2.json"
+    spec_path.write_text(scenario_to_json(builtin_scenario(2)._replace(timesteps=20)))
+    src = ROOT / "src"
+    bytecode = {path: path.stat().st_mtime_ns for path in src.rglob("*.pyc")}
+    # -B alone keeps bytecode out of src/, whatever the environment says
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = str(src)
+    interpreters = cpythons()
+    for version, exe in interpreters.items():
+        out = tmp_path / version
+        job = subprocess.run([exe, "-B", "-m", "replica_harmony.cli", "run", "--scenario", str(spec_path),
+                              "--algo", "exhaustive", "--seeds", "2", "--out", str(out)],
+                             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+        assert job.returncode == 0, (version, exe, job.stderr)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == EXHAUSTIVE_DIGESTS, (version, exe)
+    assert {path: path.stat().st_mtime_ns for path in src.rglob("*.pyc")} == bytecode
+    print(f"\nexhaustive digests equal under CPython {', '.join(sorted(interpreters))}")
+
+
 # captured before trials shared one experiment per (scenario, seed)
 COMPARE_DIGESTS = {
     "comparison.csv": "bef42c6a07082064a10453f557477e3cdd0fa461b1d60ca18a95b41e30e5a404",
@@ -1043,12 +1085,14 @@ def test_report_accepts_a_summary_in_any_layout(tmp_path, capsys):
     assert "scenario tiny (1 trials)" in capsys.readouterr().out
 
 
-def _set_cell(column, value):
+def _set_cell(column, value, every_row=False):
     def tamper(text):
         lines = text.splitlines()
-        cells = lines[1].split(",")
-        cells[column] = value
-        return "\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n"
+        for i in range(1, len(lines) if every_row else 2):
+            cells = lines[i].split(",")
+            cells[column] = value
+            lines[i] = ",".join(cells)
+        return "\n".join(lines) + "\n"
 
     return tamper
 
@@ -1071,9 +1115,16 @@ def _short_row(text):
         _set_cell(CSV_HEADER.index("mean_cost_s"), "-1.0"),
         _set_cell(CSV_HEADER.index("placed"), "-5"),
         _set_cell(CSV_HEADER.index("scenario"), "x" * 200_000),
+        # cells int() and float() read but run never writes
+        _set_cell(CSV_HEADER.index("seed"), "1_0", every_row=True),
+        _set_cell(CSV_HEADER.index("seed"), " 0", every_row=True),
+        _set_cell(CSV_HEADER.index("seed"), "\uff10", every_row=True),
+        _set_cell(CSV_HEADER.index("timestep"), "0_1"),
+        _set_cell(CSV_HEADER.index("mean_cost_s"), "1_0.5"),
     ],
     ids=["header", "short-row", "non-number", "header-only", "long-row",
-         "nan-cost", "inf-delay", "negative-cost", "negative-placed", "oversized-cell"],
+         "nan-cost", "inf-delay", "negative-cost", "negative-placed", "oversized-cell",
+         "underscored-seed", "spaced-seed", "fullwidth-seed", "underscored-timestep", "underscored-cost"],
 )
 def test_report_rejects_malformed_trial_csv(tmp_path, capsys, tamper):
     spec_path = tmp_path / "tiny.json"

