@@ -28,6 +28,7 @@ from .harness import (
 )
 from .model import (
     AllocationVector,
+    CapacityLedger,
     DataItem,
     Gateway,
     LinkMatrix,

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .cost import CostModel, EnergyParams, placement_energy
 from .errors import ConfigError, Infeasible, MalformedInput
-from .model import AllocationVector, DataItem, Topology, checked, commit_placement, json_doc, json_text
+from .model import AllocationVector, CapacityLedger, DataItem, Topology, checked, commit_placement, json_doc, json_text
 from .optimize import (
     HMS,
     OptResult,
@@ -212,7 +212,7 @@ def run_trial_detailed(
                           f"not scenario {spec.name!r} seed {root_seed}")
     model = experiment.model
     workload = experiment.workload
-    current = experiment.topology
+    ledger = CapacityLedger(experiment.topology)
 
     series: list[TimestepRecord] = []
     placements: list[tuple[DataItem, AllocationVector | None]] = []
@@ -226,9 +226,9 @@ def run_trial_detailed(
         while index < len(workload) and workload[index].arrival_timestep == timestep:
             datum = workload[index]
             try:
-                problem = PlacementProblem(current, datum, model.objective(datum))
+                problem = PlacementProblem(ledger, datum, model.objective(datum))
                 result = _run_optimizer(algorithm, problem, experiment, index, options)
-                current = commit_placement(current, datum, result.best)
+                commit_placement(ledger, datum, result.best)
             except Infeasible:  # CapacityExceeded is a bug: the problem offers only clouds with room
                 failures += 1
                 placements.append((datum, None))
@@ -250,7 +250,7 @@ def run_trial_detailed(
         series=tuple(series),
         totals=recompute_totals(series),
     )
-    return TrialResult(report, current, tuple(placements))
+    return TrialResult(report, ledger.topology(), tuple(placements))
 
 
 def run_trial(

@@ -1,11 +1,13 @@
 """Domain types for the mini-cloud replication system, and the JSON codec.
 
 A topology is a set of gateways (IoT ingress points), a set of mini clouds
-(replica storage sites with capacity bookkeeping), and transfer-rate matrices
-between them. Per-byte read/write delays are stored in milliseconds per byte,
-matching the JSON wire format exactly so that serialization round-trips are
-bit-lossless; the cost module converts to seconds where it evaluates delays.
-Waiting times are plain seconds, capacities bytes, transfer rates bytes/s.
+(replica storage sites, each with a total and a used capacity), and
+transfer-rate matrices between them; a cloud's id is its position. A trial
+keeps its capacity state in one CapacityLedger. Per-byte read/write delays
+are stored in milliseconds per byte, matching the JSON wire format exactly
+so that serialization round-trips are bit-lossless; the cost module
+converts to seconds where it evaluates delays. Waiting times are plain
+seconds, capacities bytes, transfer rates bytes/s.
 
 Every record but AllocationVector is a NamedTuple. Those whose fields are
 checked or normalized are made ``checked``: their constructor, and so ``_make`` and
@@ -73,10 +75,6 @@ class MiniCloud(NamedTuple):
     waiting_time_s: float
     total_capacity: float
     used_capacity: float = 0.0
-
-    @property
-    def free_capacity(self) -> float:
-        return self.total_capacity - self.used_capacity
 
 
 def _freeze_matrix(rows) -> tuple[tuple[float, ...], ...]:
@@ -184,7 +182,7 @@ class AllocationVector:
 
 
 class Topology(NamedTuple):
-    """Immutable system state; capacity updates produce a new value."""
+    """Immutable system state, built by the generator and by CapacityLedger.topology."""
 
     gateways: tuple[Gateway, ...]
     clouds: tuple[MiniCloud, ...]
@@ -215,23 +213,41 @@ def check_allocation(t: Topology, clouds: tuple[int, ...]) -> None:
             raise InvalidAllocation(f"cloud id {c} out of range [0, {n})")
 
 
-def commit_placement(t: Topology, d: DataItem, a: AllocationVector) -> Topology:
+class CapacityLedger:
+    """A trial's capacity state: each cloud's total and used bytes, by cloud id. It is
+    the one reader of a topology's capacities, and only commit_placement adds to used."""
+
+    def __init__(self, topology: Topology):
+        self.start = topology
+        self.total = tuple([c.total_capacity for c in topology.clouds])
+        self.used = [c.used_capacity for c in topology.clouds]
+
+    def feasible(self, size: float) -> tuple[int, ...]:
+        """The ids of the clouds with at least size bytes free, ascending."""
+        total, used = self.total, self.used
+        return tuple([c for c in range(len(total)) if total[c] - used[c] >= size])
+
+    def topology(self) -> Topology:
+        """The start topology with the committed bytes."""
+        t = self.start
+        return Topology(t.gateways, tuple([MiniCloud(*c[:5], u) for c, u in zip(t.clouds, self.used)]), t.links)
+
+
+def commit_placement(ledger: CapacityLedger, d: DataItem, a: AllocationVector) -> None:
     """Reserve ``d.size`` bytes on every cloud in ``a``; all-or-nothing.
 
-    Returns the updated topology. Raises InvalidAllocation for an empty,
-    repeated or out-of-range id vector, and CapacityExceeded (naming the
-    first offending cloud) without touching any state if one target lacks room.
+    Raises InvalidAllocation for an empty, repeated or out-of-range id
+    vector, and CapacityExceeded (naming the first offending cloud) without
+    touching the ledger if one target lacks room.
     """
     check_distinct(a.clouds)
-    check_allocation(t, a.clouds)
-    clouds = list(t.clouds)
+    check_allocation(ledger.start, a.clouds)
+    total, used = ledger.total, ledger.used
     for c in a.clouds:
-        if clouds[c].free_capacity < d.size:
+        if total[c] - used[c] < d.size:
             raise CapacityExceeded(c)
     for c in a.clouds:
-        old = clouds[c]
-        clouds[c] = MiniCloud(*old[:5], old.used_capacity + d.size)
-    return Topology(t.gateways, tuple(clouds), t.links)
+        used[c] += d.size
 
 
 # --- JSON (de)serialization ------------------------------------------------

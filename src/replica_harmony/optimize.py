@@ -23,11 +23,11 @@ from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import Infeasible
-from .model import AllocationVector, DataItem, Topology
+from .model import AllocationVector, CapacityLedger, DataItem, Topology
 
 
 class PlacementProblem:
-    """One datum against the current topology state.
+    """One datum against the current capacity state, a topology or a trial's ledger.
 
     feasible_clouds holds the ids with free capacity for the datum, in
     ascending order. Construction fails with ValueError for a datum of no
@@ -37,7 +37,7 @@ class PlacementProblem:
 
     def __init__(
         self,
-        topology: Topology,
+        state: Topology | CapacityLedger,
         datum: DataItem,
         objective: Callable[[AllocationVector], float],
     ):
@@ -46,10 +46,8 @@ class PlacementProblem:
         if datum.replica_count < 1 or not size >= 0:
             raise ValueError(f"datum {datum.id} needs >= 1 replica and a size >= 0, "
                              f"got {datum.replica_count} replicas of {size} bytes")
-        # MiniCloud.free_capacity's expression, read inline: no property call per cloud
-        self.feasible_clouds: tuple[int, ...] = tuple(
-            [c.id for c in topology.clouds if c.total_capacity - c.used_capacity >= size]
-        )
+        ledger = state if isinstance(state, CapacityLedger) else CapacityLedger(state)
+        self.feasible_clouds: tuple[int, ...] = ledger.feasible(size)
         if datum.replica_count > len(self.feasible_clouds):
             raise Infeasible(
                 f"datum {datum.id} needs {datum.replica_count} replicas but only "

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from replica_harmony import harness
-from replica_harmony.model import Gateway, LinkMatrix, MiniCloud, Topology
+from replica_harmony.model import CapacityLedger, Gateway, LinkMatrix, MiniCloud, Topology, commit_placement
 
 
 @pytest.fixture
@@ -12,6 +12,13 @@ def trials(monkeypatch):
     calls = []
     monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
     return calls
+
+
+def committed(topology: Topology, datum, vector) -> Topology:
+    """The topology with datum's bytes on vector's clouds, committed through a fresh ledger."""
+    ledger = CapacityLedger(topology)
+    commit_placement(ledger, datum, vector)
+    return ledger.topology()
 
 
 def make_topology(rng: random.Random, num_gateways: int, num_clouds: int,

@@ -10,11 +10,12 @@ from operator import attrgetter
 import pytest
 
 from replica_harmony import harness
-from replica_harmony.cost import EnergyParams
+from replica_harmony.cost import CostModel, EnergyParams
 from replica_harmony.errors import ConfigError, MalformedInput
 from replica_harmony.harness import (
     ALGORITHMS,
     CSV_HEADER,
+    Experiment,
     RunReport,
     RunTotals,
     TimestepRecord,
@@ -34,10 +35,12 @@ from replica_harmony.harness import (
     totals_to_dict,
     win_rate,
 )
-from replica_harmony.model import Policy, commit_placement, json_text
+from replica_harmony.model import LinkMatrix, MiniCloud, Topology, json_text
 from replica_harmony.optimize import PlacementProblem, exhaustive_best
 from replica_harmony.scenario import ScenarioSpec, builtin_scenario
 from replica_harmony.seeding import derive_seed
+
+from conftest import committed
 
 
 def small_spec(**overrides) -> ScenarioSpec:
@@ -176,9 +179,12 @@ def test_shared_experiment_gives_the_same_reports(options):
         assert shared.placements == alone.placements
         assert shared.final_topology == alone.final_topology
     # trials never change the experiment they share: the model is a function
-    # of the topology, and the exercises of the spec and seed
+    # of the topology, and the exercises of the spec and seed; each trial's
+    # capacity ledger is its own, so the shared topology still holds no byte
     inputs = attrgetter("spec", "root_seed", "topology", "workload", "requesters")
     assert inputs(experiment) == inputs(build_experiment(spec, 6))
+    assert {c.used_capacity for c in experiment.topology.clouds} == {0.0}
+    assert all(c.used_capacity > 0.0 for c in shared.final_topology.clouds)
 
 
 @pytest.mark.parametrize("k", [1, 4])
@@ -195,6 +201,96 @@ def test_capacity_that_never_binds_is_invisible(k):
     for trial, report in reports.items():
         assert report.totals.failures == roomy_reports[trial].totals.failures == 0, trial
         assert report.series == roomy_reports[trial].series, trial
+
+
+def exhaustive_trials(experiment: Experiment, topology: Topology, workload=None, requesters=None):
+    """The exhaustive trial of the experiment, and the one with its topology,
+    and its workload and requesters where given, replaced."""
+    e = experiment
+    workload = e.workload if workload is None else workload
+    requesters = e.requesters if requesters is None else requesters
+    changed = Experiment(e.spec, e.root_seed, topology, workload, CostModel(topology), requesters)
+    return [run_trial_detailed(e.spec, "exhaustive", e.root_seed, experiment=x) for x in (e, changed)]
+
+
+def placed_sets(trial, label=lambda c: c) -> list:
+    return [None if vector is None else sorted(map(label, vector)) for _, vector in trial.placements]
+
+
+# Relabelling relations hold for the exact solver, whose answer does not
+# depend on the names of the clouds or gateways: a heuristic's draws index
+# the feasible ids, so relabelling moves them. The trial reads cloud ids as
+# positions in its capacity ledger and cost tables, which these guard.
+@pytest.mark.parametrize("k", [1, 4])
+def test_relabelling_the_clouds_keeps_every_exhaustive_series(k):
+    spec = builtin_scenario(k)._replace(timesteps=60)
+    for seed in (0, 1):
+        experiment = build_experiment(spec, seed)
+        t = experiment.topology
+        old = list(range(t.num_clouds))  # new cloud i is the drawn cloud old[i]
+        random.Random(seed).shuffle(old)
+        assert old != sorted(old)
+        clouds = tuple(t.clouds[o]._replace(id=i) for i, o in enumerate(old))
+        gw, cc = t.links
+        links = LinkMatrix([[row[o] for o in old] for row in gw], [[cc[a][b] for b in old] for a in old])
+        trial, relabelled = exhaustive_trials(experiment, Topology(t.gateways, clouds, links))
+        assert relabelled.report.series == trial.report.series, seed
+        assert placed_sets(relabelled, old.__getitem__) == placed_sets(trial), seed
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_relabelling_the_gateways_keeps_every_exhaustive_series(k):
+    spec = builtin_scenario(k)._replace(timesteps=60)
+    for seed in (0, 1):
+        experiment = build_experiment(spec, seed)
+        t = experiment.topology
+        old = list(range(t.num_gateways))  # new gateway i is the drawn gateway old[i]
+        random.Random(seed).shuffle(old)
+        assert old != sorted(old)
+        new = {o: i for i, o in enumerate(old)}
+        gateways = tuple(t.gateways[o]._replace(id=i) for i, o in enumerate(old))
+        links = LinkMatrix([t.links.gw_to_cloud[o] for o in old], t.links.cloud_to_cloud)
+        workload = tuple(d._replace(source_gateway=new[d.source_gateway]) for d in experiment.workload)
+        requesters = tuple(new[g] for g in experiment.requesters)
+        trial, relabelled = exhaustive_trials(experiment, Topology(gateways, t.clouds, links), workload, requesters)
+        assert relabelled.report.series == trial.report.series, seed
+        assert placed_sets(relabelled) == placed_sets(trial), seed
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_a_dominated_cloud_keeps_every_exhaustive_series(k):
+    # the added cloud waits 1e4 s, writes and reads at 1e4 ms/B over 1 B/s
+    # links and never fills, so any vector holding it costs thousands of
+    # seconds more than one that does not
+    spec = builtin_scenario(k)._replace(timesteps=60)
+    for seed in (0, 1):
+        experiment = build_experiment(spec, seed)
+        t = experiment.topology
+        n = t.num_clouds
+        clouds = t.clouds + (MiniCloud(n, 1e4, 1e4, 1e4, 1e12),)
+        gw, cc = t.links
+        links = LinkMatrix([row + (1.0,) for row in gw], [row + (1.0,) for row in cc] + [(1.0,) * n + (0.0,)])
+        trial, widened = exhaustive_trials(experiment, Topology(t.gateways, clouds, links))
+        assert widened.report.series == trial.report.series, seed
+        assert placed_sets(widened) == placed_sets(trial), seed
+
+
+def test_more_capacity_can_place_fewer_data():
+    # Online greedy placement is not monotone in capacity. With 200 bytes
+    # more, cloud 0 still has room at the 48th datum, which takes clouds
+    # {0, 4} in place of {2, 4}, and the next datum, which failed before,
+    # fits on {0, 2, 4}; what those fill leaves three later data without
+    # room, so the exact per-datum rule places 51 data where it placed 53.
+    # On this spec, at seeds 0-19, 200 bytes more on one cloud placed fewer
+    # data in 12 of 160 cases.
+    spec = ScenarioSpec("tight", 22, 8, timesteps=40, capacity_range_bytes=(800.0, 2000.0))
+    experiment = build_experiment(spec, 14)
+    t = experiment.topology
+    roomier = t._replace(clouds=(t.clouds[0]._replace(total_capacity=t.clouds[0].total_capacity + 200.0),)
+                         + t.clouds[1:])
+    trial, more_room = exhaustive_trials(experiment, roomier)
+    assert [x.report.totals.placed for x in (trial, more_room)] == [53, 51]
+    assert trial.report.totals.failures == 44
 
 
 # seeds 0, stride, 2 * stride: stride 2 leaves gaps in the seed list
@@ -609,7 +705,7 @@ def test_best_allocation_bounds_every_placement_where_capacity_binds():
         trial = run_trial_detailed(spec, algorithm, 7, experiment=experiment)
         current = experiment.topology
         for d, vector in trial.placements:
-            room = [c.id for c in current.clouds if c.free_capacity >= d.size]
+            room = [c.id for c in current.clouds if c.total_capacity - c.used_capacity >= d.size]
             if vector is None:
                 assert len(room) < d.replica_count, (algorithm, d.id)
                 failed += 1
@@ -626,7 +722,7 @@ def test_best_allocation_bounds_every_placement_where_capacity_binds():
                 assert (best, cost.hex()) == (oracle.best, oracle.best_cost.hex())
             walked += d.replica_count > 1 and len(room) < spec.num_clouds
             placed += 1
-            current = commit_placement(current, d, vector)
+            current = committed(current, d, vector)
         assert current == trial.final_topology
     # the solver walked past full clouds, and some data found too few clouds with room
     assert placed > 50 and walked > 30 and failed > 0, (placed, walked, failed)

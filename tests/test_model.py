@@ -6,6 +6,7 @@ import pytest
 from replica_harmony.errors import CapacityExceeded, ConfigError, InvalidAllocation
 from replica_harmony.model import (
     AllocationVector,
+    CapacityLedger,
     DataItem,
     Gateway,
     LinkMatrix,
@@ -18,13 +19,8 @@ from replica_harmony.model import (
 )
 from replica_harmony.scenario import builtin_scenario, generate_topology
 
-from conftest import make_topology
+from conftest import committed, make_topology
 from reference import validate_topology
-
-
-def test_mini_cloud_free_capacity():
-    cloud = MiniCloud(0, 2.0, 1.0, 0.5, total_capacity=100.0, used_capacity=30.0)
-    assert cloud.free_capacity == 70.0
 
 
 def test_link_matrix_coerces_rows_to_tuples():
@@ -91,7 +87,7 @@ def test_validate_topology_flags_shape_mismatch(example_topology):
 
 def test_commit_placement_is_functional(example_topology):
     datum = DataItem(0, 100.0, 0, 2)
-    updated = commit_placement(example_topology, datum, AllocationVector((0, 1)))
+    updated = committed(example_topology, datum, AllocationVector((0, 1)))
     assert updated.clouds[0].used_capacity == 100.0
     assert updated.clouds[1].used_capacity == 100.0
     # the input topology is untouched
@@ -105,29 +101,33 @@ def test_commit_placement_all_or_nothing(example_topology):
             example_topology.clouds[1]._replace(total_capacity=50.0),
         ),
     )
-    datum = DataItem(0, 100.0, 0, 2)
+    ledger = CapacityLedger(tight)
+    commit_placement(ledger, DataItem(0, 30.0, 0, 2), AllocationVector((0, 1)))
+    datum = DataItem(1, 100.0, 0, 2)
     with pytest.raises(CapacityExceeded) as err:
-        commit_placement(tight, datum, AllocationVector((0, 1)))
+        commit_placement(ledger, datum, AllocationVector((0, 1)))
     assert err.value.cloud_id == 1
+    # cloud 0 had room, and the failed commit reserved nothing on it either
+    assert ledger.used == [30.0, 30.0]
     assert tight.clouds[0].used_capacity == 0.0
 
 
 def test_commit_placement_rejects_out_of_range(example_topology):
     with pytest.raises(InvalidAllocation):
-        commit_placement(example_topology, DataItem(0, 10.0, 0, 1), AllocationVector((7,)))
+        committed(example_topology, DataItem(0, 10.0, 0, 1), AllocationVector((7,)))
 
 
 @pytest.mark.parametrize("clouds", [(1, 1), ()], ids=["duplicate", "empty"])
 def test_commit_placement_validates_unchecked_vectors(example_topology, clouds):
     vector = AllocationVector.unchecked(clouds)
     with pytest.raises(InvalidAllocation):
-        commit_placement(example_topology, DataItem(0, 10.0, 0, 2), vector)
+        committed(example_topology, DataItem(0, 10.0, 0, 2), vector)
 
 
 def test_topology_json_round_trip_is_lossless():
     rng = random.Random(11)
     topology = make_topology(rng, 3, 5)
-    topology = commit_placement(topology, DataItem(0, 77.0, 0, 2), AllocationVector((1, 4)))
+    topology = committed(topology, DataItem(0, 77.0, 0, 2), AllocationVector((1, 4)))
     parsed = dataclass_from_json_text(Topology, topology_to_json(topology))
     assert validate_topology(parsed) == []
     assert parsed == topology  # float-exact: dataclass equality compares every field

@@ -12,6 +12,7 @@ from replica_harmony.cost import CostModel
 from replica_harmony.errors import Infeasible
 from replica_harmony.model import (
     AllocationVector,
+    CapacityLedger,
     DataItem,
     Gateway,
     LinkMatrix,
@@ -33,7 +34,7 @@ from replica_harmony.optimize import (
     sample,
 )
 
-from conftest import make_topology, tie_heavy_topology
+from conftest import committed, make_topology, tie_heavy_topology
 
 
 class ScriptedRng(random.Random):
@@ -105,43 +106,50 @@ def test_placement_problem_refuses_a_datum_no_placement_fits(size, replicas, sho
         PlacementProblem(t, d, CostModel(t).objective(d))
 
 
-def feasible_by_property(t: Topology, size: float) -> tuple[int, ...]:
-    return tuple(c.id for c in t.clouds if c.free_capacity >= size)
+def free_bytes(t: Topology, size: float) -> tuple[int, ...]:
+    """The ids of the clouds with room for size bytes, read from each record."""
+    return tuple(c.id for c in t.clouds if c.total_capacity - c.used_capacity >= size)
 
 
-def test_placement_problem_scan_agrees_with_free_capacity_at_the_boundary():
+def test_ledger_feasible_agrees_with_free_bytes_at_the_boundary():
     rng = random.Random(5)
     t = make_topology(rng, 2, 4, capacity=(100.0, 100.0))
-    t = commit_placement(t, DataItem(0, 30.0, 0, 2), AllocationVector((0, 1)))
-    t = commit_placement(t, DataItem(1, 20.0, 1, 2), AllocationVector((1, 2)))
-    assert [c.free_capacity for c in t.clouds] == [70.0, 50.0, 80.0, 100.0]
+    t = committed(t, DataItem(0, 30.0, 0, 2), AllocationVector((0, 1)))
+    t = committed(t, DataItem(1, 20.0, 1, 2), AllocationVector((1, 2)))
+    assert [c.total_capacity - c.used_capacity for c in t.clouds] == [70.0, 50.0, 80.0, 100.0]
 
     def feasible(size):
+        # the ledger's answer, which PlacementProblem offers for a topology and a ledger alike
+        ledger = CapacityLedger(t)
         d = DataItem(99, size, 0, 1)
-        try:
-            return PlacementProblem(t, d, CostModel(t).objective(d)).feasible_clouds
-        except Infeasible:
-            return ()
+        for state in (t, ledger):
+            try:
+                assert PlacementProblem(state, d, CostModel(t).objective(d)).feasible_clouds == ledger.feasible(size)
+            except Infeasible:
+                assert ledger.feasible(size) == ()
+        return ledger.feasible(size)
 
     assert feasible(50.0) == (0, 1, 2, 3)  # free == size
     assert feasible(51.0) == (0, 2, 3)  # one byte short
     assert feasible(100.0) == (3,)
     for size in (0.5, 49.0, 50.0, 51.0, 69.5, 70.0, 80.0, 100.0):
-        assert feasible(size) == feasible_by_property(t, size)
+        assert feasible(size) == free_bytes(t, size)
 
     # random capacities and sizes, so free capacity carries rounding, and a
-    # size at each cloud's free capacity and one ulp above it
-    t = make_topology(rng, 3, 12)
+    # size at each cloud's free capacity and one ulp above it; the commits
+    # go through one ledger, whose topology() the records are read from
+    ledger = CapacityLedger(make_topology(rng, 3, 12))
     for i in range(40):
         size = float(rng.randint(2_000, 9_000)) + rng.random()
-        if len(feasible_by_property(t, size)) < 3:
+        if len(ledger.feasible(size)) < 3:
             break
-        t = commit_placement(t, DataItem(i, size, 0, 3),
-                             AllocationVector(tuple(rng.sample(feasible_by_property(t, size), 3))))
+        commit_placement(ledger, DataItem(i, size, 0, 3), AllocationVector(tuple(rng.sample(ledger.feasible(size), 3))))
+    t = ledger.topology()
     for c in t.clouds:
-        for size in (c.free_capacity, math.nextafter(c.free_capacity, math.inf)):
-            assert feasible(size) == feasible_by_property(t, size)
-            assert (c.id in feasible(size)) == (size == c.free_capacity)
+        free = c.total_capacity - c.used_capacity
+        for size in (free, math.nextafter(free, math.inf)):
+            assert feasible(size) == free_bytes(t, size)
+            assert (c.id in feasible(size)) == (size == free)
 
 
 def test_random_allocation_contract():

@@ -181,6 +181,17 @@ def test_allocation_rules_are_spelled_in_model_py():
     }
 
 
+def test_capacities_are_read_only_in_model_py():
+    # a trial's CapacityLedger is the one reader of the clouds' capacities
+    # and does the one subtraction that says which clouds have room
+    readers = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("used_capacity", "total_capacity"):
+                readers.append(path.name)
+    assert set(readers) == {"model.py"}
+
+
 def test_every_error_survives_pickling():
     # a fan-out worker sends its failing unit's exception to the parent by pickle
     classes = [value for value in vars(errors).values()
